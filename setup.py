@@ -1,28 +1,9 @@
-"""Build script for the optional compiled kernel.
+"""Build script for in-place builds (``python setup.py build_ext --inplace``).
 
-The package works without the extension: ``strsearch._backend`` falls back to
-the pure-Python kernels when ``strsearch._ckernel`` cannot be imported.
+The package is pure Python and configured in pyproject.toml, so an in-place
+build has nothing to compile.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    extensions = cythonize(
-        [
-            Extension(
-                "strsearch._ckernel",
-                ["src/strsearch/_ckernel.pyx"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-else:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup()

@@ -7,11 +7,11 @@ an uncompressed suffix trie for structural comparison, the four classical
 single-pattern matchers (naive, KMP, Rabin-Karp, Boyer-Moore), seeded
 dataset generation, and a benchmark harness with CSV output.
 
-Hot kernels run on a compiled extension when it is built, with a pure-Python
-fallback selected automatically at import; see strsearch.backend helpers.
+The hot loops live in one pure-Python kernel module, ``strsearch._pykernel``;
+``active_backend()`` names it.
 """
 
-from ._backend import active_name as active_backend, has_native as has_native_backend, use as use_backend
+from ._backend import active_backend
 from .baselines import (
     BmTables,
     RollingHashParams,
@@ -83,7 +83,6 @@ __all__ = [
     "build_suffix_trie",
     "generate_text",
     "gold_standard_matches",
-    "has_native_backend",
     "kmp_find_all",
     "make_text",
     "naive_find_all",
@@ -94,7 +93,6 @@ __all__ = [
     "run_accuracy_experiment",
     "run_benchmark_matrix",
     "sample_patterns",
-    "use_backend",
     "verify_occurrences",
     "write_csv",
 ]

@@ -1,56 +1,22 @@
-"""Kernel backend selection.
+"""The search kernel behind the public API.
 
-The compiled kernel (``strsearch._ckernel``, built from Cython) is preferred
-when importable; the pure-Python twin is the fallback. Selection happens once
-at import and can be overridden globally with use() or per call by passing
-``backend=`` to the public functions. The environment variable
-``STRSEARCH_BACKEND`` (``py`` or ``c``) forces the initial choice.
+There is one kernel, ``strsearch._pykernel``; the public modules call it
+directly. These two functions name it for tooling that records which kernel
+a run used.
 """
 
 from __future__ import annotations
 
-import os
 from types import ModuleType
 
 from . import _pykernel
 
-try:
-    from . import _ckernel  # type: ignore[attr-defined]
-except ImportError:
-    _ckernel = None
+
+def kernel() -> ModuleType:
+    """The kernel module the public API runs on."""
+    return _pykernel
 
 
-def has_native() -> bool:
-    return _ckernel is not None
-
-
-def _resolve(name: str) -> ModuleType:
-    if name in ("py", "python", "pure"):
-        return _pykernel
-    if name in ("c", "native"):
-        if _ckernel is None:
-            raise RuntimeError("native kernel is not available (extension not built)")
-        return _ckernel
-    if name == "auto":
-        return _ckernel if _ckernel is not None else _pykernel
-    raise ValueError(f"unknown backend {name!r} (expected auto, py, or c)")
-
-
-_active = _resolve(os.environ.get("STRSEARCH_BACKEND", "auto"))
-
-
-def use(name: str) -> str:
-    """Switch the process-wide default backend; returns the active name."""
-    global _active
-    _active = _resolve(name)
-    return _active.NAME
-
-
-def kernel(backend: str | None = None) -> ModuleType:
-    if backend is None:
-        return _active
-    return _resolve(backend)
-
-
-def active_name() -> str:
-    return _active.NAME
+def active_backend() -> str:
+    """Short name of that kernel (``"py"``)."""
+    return _pykernel.NAME

@@ -1,12 +1,11 @@
-"""Pure-Python search kernels.
+"""Search kernels: the hot loops behind the public API.
 
-This module is the fallback twin of the compiled kernel ``strsearch._ckernel``
-and exposes the same surface: the four classical scan loops and the suffix
-tree kernel. Counter semantics are identical in both backends, so
-instrumented runs can be compared across them bit for bit.
+The four classical scan loops and the suffix tree kernel, in pure Python.
+Scans fill a caller-supplied Counters object with their comparison,
+alignment and hash-hit counts when one is passed.
 
 Inputs are plain ``bytes``; validation and type wrapping happen in the public
-modules.
+modules (``strsearch.baselines``, ``strsearch.suffix_tree``).
 """
 
 from __future__ import annotations
@@ -254,7 +253,7 @@ class TreeKernel:
     __slots__ = (
         "data", "n_total",
         "edge_start", "edge_end", "slink", "children",
-        "suffix_index", "leaf_count", "path_depth", "parent",
+        "suffix_index", "leaf_count", "path_depth",
         "n_nodes", "n_leaves", "max_depth",
         "build_steps", "built", "finalized",
     )
@@ -269,7 +268,6 @@ class TreeKernel:
         self.suffix_index: list[int] = []
         self.leaf_count: list[int] = []
         self.path_depth: list[int] = []
-        self.parent: list[int] = []
         self.n_nodes = 1
         self.n_leaves = 0
         self.max_depth = 0
@@ -428,7 +426,6 @@ class TreeKernel:
                 lc[p] += lc[v]
 
         self.path_depth = depth
-        self.parent = parent
         self.suffix_index = sfx
         self.leaf_count = lc
         self.n_leaves = n_leaves

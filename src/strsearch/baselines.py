@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _backend
+from . import _pykernel
 from .core import Counters, Pattern, Text, as_pattern, as_text
 from .errors import SentinelCollision
 
@@ -28,8 +28,8 @@ class RollingHashParams:
     Defaults follow the usual choice (base 256 over the byte alphabet, a
     large prime modulus). Small or non-prime moduli are accepted: they only
     raise the collision rate, and every hash hit is verified by direct
-    comparison anyway. The modulus must stay below 2**31 so the compiled
-    kernel can keep intermediates in 64-bit arithmetic.
+    comparison anyway. The modulus must stay below 2**31 so every
+    intermediate of the rolling update fits in 64-bit arithmetic.
     """
 
     base: int = RK_DEFAULT_BASE
@@ -67,38 +67,35 @@ def naive_find_all(
     text: Text | bytes | str,
     pattern: Pattern | bytes | str,
     counters: Counters | None = None,
-    backend: str | None = None,
 ) -> list[int]:
     """Direct comparison at every alignment; the in-library reference."""
     body, pat = _prep(text, pattern)
-    return _backend.kernel(backend).naive_search(body, pat, counters)
+    return _pykernel.naive_search(body, pat, counters)
 
 
-def build_lps(pattern: Pattern | bytes | str, backend: str | None = None) -> list[int]:
+def build_lps(pattern: Pattern | bytes | str) -> list[int]:
     """Longest-proper-prefix-that-is-also-suffix length per pattern prefix."""
     pat = as_pattern(pattern)
-    return list(_backend.kernel(backend).lps_table(pat.data))
+    return list(_pykernel.lps_table(pat.data))
 
 
 def kmp_find_all(
     text: Text | bytes | str,
     pattern: Pattern | bytes | str,
     counters: Counters | None = None,
-    backend: str | None = None,
 ) -> list[int]:
     """Prefix-function matcher; the text cursor never moves backward."""
     body, pat = _prep(text, pattern)
-    return _backend.kernel(backend).kmp_search(body, pat, counters)
+    return _pykernel.kmp_search(body, pat, counters)
 
 
 def rk_hash(
     data: Pattern | bytes | str,
     params: RollingHashParams = RollingHashParams(),
-    backend: str | None = None,
 ) -> int:
     """Polynomial hash: (sum data[i] * base^(len-1-i)) mod modulus."""
     raw = as_pattern(data).data
-    return _backend.kernel(backend).poly_hash(raw, params.base, params.modulus)
+    return _pykernel.poly_hash(raw, params.base, params.modulus)
 
 
 def rk_find_all(
@@ -106,20 +103,18 @@ def rk_find_all(
     pattern: Pattern | bytes | str,
     params: RollingHashParams = RollingHashParams(),
     counters: Counters | None = None,
-    backend: str | None = None,
 ) -> list[int]:
     """Rolling-hash scan with mandatory verification on every hash hit, so
     collisions cost time but never correctness."""
     body, pat = _prep(text, pattern)
-    return _backend.kernel(backend).rk_search(body, pat, params.base, params.modulus, counters)
+    return _pykernel.rk_search(body, pat, params.base, params.modulus, counters)
 
 
-def bm_build_tables(pattern: Pattern | bytes | str, backend: str | None = None) -> BmTables:
+def bm_build_tables(pattern: Pattern | bytes | str) -> BmTables:
     pat = as_pattern(pattern).data
-    k = _backend.kernel(backend)
     return BmTables(
-        bad_char=tuple(k.bm_bad_char(pat)),
-        good_suffix=tuple(k.bm_good_suffix(pat)),
+        bad_char=tuple(_pykernel.bm_bad_char(pat)),
+        good_suffix=tuple(_pykernel.bm_good_suffix(pat)),
     )
 
 
@@ -127,8 +122,7 @@ def bm_find_all(
     text: Text | bytes | str,
     pattern: Pattern | bytes | str,
     counters: Counters | None = None,
-    backend: str | None = None,
 ) -> list[int]:
     """Right-to-left scan shifting by max(bad character, strong good suffix, 1)."""
     body, pat = _prep(text, pattern)
-    return _backend.kernel(backend).bm_search(body, pat, counters)
+    return _pykernel.bm_search(body, pat, counters)

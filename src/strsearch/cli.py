@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import _backend
 from .baselines import bm_find_all, kmp_find_all, naive_find_all, rk_find_all
 from .bench import BenchConfig, run_accuracy_experiment, run_benchmark_matrix, write_csv
 from .core import SENTINEL, Pattern, Text, make_text
@@ -217,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="strsearch",
         description="Exact string matching: suffix tree index, classical matchers, benchmarks.",
     )
-    parser.add_argument(
-        "--backend", choices=("auto", "py", "c"), default="auto",
-        help="kernel backend (default: compiled when available)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="find a pattern in a text")
@@ -279,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.backend != "auto":
-            _backend.use(args.backend)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     if args.command == "search" and (args.pattern is None) == (args.pattern_file is None):
         print("error: exactly one of --pattern / --pattern-file is required", file=sys.stderr)
         return USAGE_ERROR

@@ -75,7 +75,6 @@ class Counters:
     alignments: int = 0
     cursor_regressions: int = 0
     hash_hits: int = 0
-    build_steps: int = 0
     window_hashes: list[int] | None = None
     alignment_trace: list[int] | None = None
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _backend
+from . import _pykernel
 from .core import Counters, Pattern, Text, as_pattern, make_text
 from .errors import AlreadyFinalized, MissingSentinel, NotFinalized, SentinelCollision
 from .suffix_trie import IndexStats
@@ -130,30 +130,36 @@ class SuffixTreeIndex:
 
     # -- introspection (used by invariant checks and tooling) ----------------
 
+    def _node(self, node: int) -> int:
+        """The node id itself, if it names a node; IndexError otherwise."""
+        if not 0 <= node < self._k.n_nodes:
+            raise IndexError(f"node id {node} out of range [0, {self._k.n_nodes})")
+        return node
+
     def is_leaf(self, node: int) -> bool:
-        return self._k.is_leaf(node)
+        return self._k.is_leaf(self._node(node))
 
     def children_of(self, node: int) -> list[tuple[int, int]]:
         """(first byte, child id) pairs in ascending byte order."""
-        return self._k.children_of(node)
+        return self._k.children_of(self._node(node))
 
     def edge_span(self, node: int) -> tuple[int, int]:
-        return self._k.edge_span(node)
+        return self._k.edge_span(self._node(node))
 
     def suffix_link_of(self, node: int) -> int:
-        return self._k.suffix_link_of(node)
+        return self._k.suffix_link_of(self._node(node))
 
     def suffix_index_of(self, node: int) -> int:
         self._require_finalized()
-        return self._k.suffix_index_of(node)
+        return self._k.suffix_index_of(self._node(node))
 
     def leaf_count_of(self, node: int) -> int:
         self._require_finalized()
-        return self._k.leaf_count_of(node)
+        return self._k.leaf_count_of(self._node(node))
 
     def path_depth_of(self, node: int) -> int:
         self._require_finalized()
-        return self._k.path_depth_of(node)
+        return self._k.path_depth_of(self._node(node))
 
     def edge_labels(self) -> list[bytes]:
         """Every edge label in the tree, as concrete byte strings."""
@@ -173,7 +179,6 @@ def build_suffix_tree(
     text: Text | bytes | str,
     *,
     finalize: bool = True,
-    backend: str | None = None,
 ) -> SuffixTreeIndex:
     """Build the suffix tree index for sentinel-terminated text.
 
@@ -187,7 +192,7 @@ def build_suffix_tree(
         raise MissingSentinel("suffix tree requires sentinel-terminated text")
     if text.body_len < 1:
         raise ValueError("suffix tree requires a non-empty body")
-    k = _backend.kernel(backend).TreeKernel(text.data)
+    k = _pykernel.TreeKernel(text.data)
     k.build()
     index = SuffixTreeIndex(k, text)
     if finalize:

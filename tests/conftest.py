@@ -1,21 +1,13 @@
 import pytest
 
-from strsearch import _backend
+from strsearch import _pykernel
 
 
-def _available_backends() -> list[str]:
-    names = ["py"]
-    if _backend.has_native():
-        names.append("c")
-    return names
+@pytest.fixture(params=[_pykernel], ids=[_pykernel.NAME])
+def kernel(request):
+    """The search kernel module under test.
 
-
-@pytest.fixture(params=_available_backends())
-def backend(request):
-    """Run a test once per available kernel backend."""
+    Tests that exercise kernel code take this fixture, so their ids carry the
+    kernel's name (``test_x[py]``) and stay comparable from run to run.
+    """
     return request.param
-
-
-def pytest_report_header(config):
-    native = "built" if _backend.has_native() else "NOT built (pure-Python only)"
-    return f"strsearch native kernel: {native}"

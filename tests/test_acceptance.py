@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single ``ACCEPTANCE n <name>: PASS|FAIL`` line (visible
-with ``pytest -s`` or in the captured output section). Runs against the
-default backend: the compiled kernel when built, pure Python otherwise.
+with ``pytest -s`` or in the captured output section). The banner test
+prints the name of the kernel the library runs on.
 """
 
 import os

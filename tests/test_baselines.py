@@ -27,21 +27,21 @@ MATCHERS = {
 
 # --- naive ------------------------------------------------------------------
 
-def test_naive_overlaps(backend):
-    assert naive_find_all("aaaa", "aa", backend=backend) == [0, 1, 2]
+def test_naive_overlaps(kernel):
+    assert naive_find_all("aaaa", "aa") == [0, 1, 2]
 
 
-def test_naive_examples(backend):
-    assert naive_find_all("mississippi", "issi", backend=backend) == [1, 4]
-    assert naive_find_all("abc", "abcd", backend=backend) == []
+def test_naive_examples(kernel):
+    assert naive_find_all("mississippi", "issi") == [1, 4]
+    assert naive_find_all("abc", "abcd") == []
 
 
 # --- LPS / KMP ---------------------------------------------------------------
 
-def test_lps_examples(backend):
-    assert build_lps("ABCDE", backend=backend) == [0, 0, 0, 0, 0]
-    assert build_lps("AAAA", backend=backend) == [0, 1, 2, 3]
-    assert build_lps("AABAACAABAA", backend=backend) == [0, 1, 0, 1, 2, 0, 1, 2, 3, 4, 5]
+def test_lps_examples(kernel):
+    assert build_lps("ABCDE") == [0, 0, 0, 0, 0]
+    assert build_lps("AAAA") == [0, 1, 2, 3]
+    assert build_lps("AABAACAABAA") == [0, 1, 0, 1, 2, 0, 1, 2, 3, 4, 5]
 
 
 @given(st.binary(min_size=1, max_size=12))
@@ -69,10 +69,10 @@ def test_lps_chase_enumerates_borders(pat):
     assert chased == all_borders(pat)
 
 
-def test_kmp_examples(backend):
-    assert kmp_find_all("aabaacaadaabaaba", "aaba", backend=backend) == [0, 9, 12]
-    assert kmp_find_all("aaaa", "aa", backend=backend) == [0, 1, 2]
-    assert kmp_find_all("", "a", backend=backend) == []
+def test_kmp_examples(kernel):
+    assert kmp_find_all("aabaacaadaabaaba", "aaba") == [0, 9, 12]
+    assert kmp_find_all("aaaa", "aa") == [0, 1, 2]
+    assert kmp_find_all("", "a") == []
 
 
 @given(st.binary(min_size=0, max_size=300), st.binary(min_size=1, max_size=8))
@@ -85,16 +85,16 @@ def test_kmp_comparison_bound_and_forward_cursor(body, pat):
 
 # --- Rabin-Karp ---------------------------------------------------------------
 
-def test_rk_hash_examples(backend):
+def test_rk_hash_examples(kernel):
     params = RollingHashParams(base=256, modulus=101)
-    assert rk_hash("a", params, backend=backend) == 97
-    assert rk_hash("ab", params, backend=backend) == 84
-    assert rk_hash("bc", params, backend=backend) == 38
+    assert rk_hash("a", params) == 97
+    assert rk_hash("ab", params) == 84
+    assert rk_hash("bc", params) == 38
 
 
-def test_rk_examples(backend):
-    assert rk_find_all("abab", "ab", backend=backend) == [0, 2]
-    assert rk_find_all("mississippi", "ssi", backend=backend) == [2, 5]
+def test_rk_examples(kernel):
+    assert rk_find_all("abab", "ab") == [0, 2]
+    assert rk_find_all("mississippi", "ssi") == [2, 5]
 
 
 def test_rk_params_validation():
@@ -129,22 +129,22 @@ def test_rk_rolling_matches_scratch_hash(body, pat):
 
 # --- Boyer-Moore ----------------------------------------------------------------
 
-def test_bm_bad_char_example(backend):
-    tables = bm_build_tables("ABCB", backend=backend)
+def test_bm_bad_char_example(kernel):
+    tables = bm_build_tables("ABCB")
     expect = {ord("A"): 0, ord("B"): 3, ord("C"): 2}
     for byte in range(256):
         assert tables.bad_char[byte] == expect.get(byte, -1)
 
 
-def test_bm_good_suffix_length_one(backend):
+def test_bm_good_suffix_length_one(kernel):
     for pat in (b"x", b"A", b"\xff"):
-        tables = bm_build_tables(pat, backend=backend)
+        tables = bm_build_tables(pat)
         assert tables.good_suffix == (1, 1)
 
 
-def test_bm_good_suffix_abcd(backend):
+def test_bm_good_suffix_abcd(kernel):
     # matched suffix "D" reoccurs nowhere: shift past the whole pattern
-    tables = bm_build_tables("ABCD", backend=backend)
+    tables = bm_build_tables("ABCD")
     assert tables.good_suffix[1] == 4
 
 
@@ -157,10 +157,10 @@ def test_bm_shifts_in_range(pat):
     assert tables.bad_char[pat[-1]] == m - 1
 
 
-def test_bm_examples(backend):
-    assert bm_find_all("HERE IS A SIMPLE EXAMPLE", "EXAMPLE", backend=backend) == [17]
-    assert bm_find_all("aaaa", "aa", backend=backend) == [0, 1, 2]
-    assert bm_find_all("abcabcabc", "cab", backend=backend) == [2, 5]
+def test_bm_examples(kernel):
+    assert bm_find_all("HERE IS A SIMPLE EXAMPLE", "EXAMPLE") == [17]
+    assert bm_find_all("aaaa", "aa") == [0, 1, 2]
+    assert bm_find_all("abcabcabc", "cab") == [2, 5]
 
 
 @given(st.binary(min_size=0, max_size=250), st.binary(min_size=1, max_size=8))
@@ -179,8 +179,6 @@ def test_bm_never_skips_occurrences(body, pat):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_matchers_agree_with_oracle(data):
-    from conftest import _available_backends
-
     alphabet = data.draw(st.sampled_from(sorted(ALPHABETS)))
     symbols = ALPHABETS[alphabet]
     body = bytes(data.draw(st.lists(st.sampled_from(symbols), min_size=0, max_size=120)))
@@ -191,12 +189,11 @@ def test_matchers_agree_with_oracle(data):
     else:
         pat = bytes(data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=8)))
     want = scan_oracle(body, pat)
-    for bk in _available_backends():
-        for name, fn in MATCHERS.items():
-            assert fn(body, pat, backend=bk) == want, (name, bk)
+    for name, fn in MATCHERS.items():
+        assert fn(body, pat) == want, name
 
 
-def test_matchers_agree_randomized(backend):
+def test_matchers_agree_randomized(kernel):
     rng = random.Random(20240817)
     for _ in range(120):
         symbols = ALPHABETS[rng.choice(sorted(ALPHABETS))]
@@ -209,4 +206,4 @@ def test_matchers_agree_randomized(backend):
             pat = random_body(rng, symbols, m)
         want = scan_oracle(body, pat)
         for name, fn in MATCHERS.items():
-            assert fn(body, pat, backend=backend) == want, name
+            assert fn(body, pat) == want, name

@@ -211,17 +211,3 @@ def test_accuracy_generated_dna():
     assert "precision: 1.0" in out
     assert "recall: 1.0" in out
     assert "patterns: 10" in out
-
-
-def test_explicit_backends(mississippi):
-    r = run_cli("--backend", "py", "search", "--algo", "stree", "--text", mississippi,
-                "--pattern", "issi")
-    assert r.returncode == 0
-    assert r.stdout == b"1\n4\ncount: 2\n"
-    import strsearch
-
-    if strsearch.has_native_backend():
-        r = run_cli("--backend", "c", "search", "--algo", "stree", "--text", mississippi,
-                    "--pattern", "issi")
-        assert r.returncode == 0
-        assert r.stdout == b"1\n4\ncount: 2\n"

@@ -5,52 +5,51 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strsearch import Counters, build_suffix_tree, make_text
-from strsearch import _backend
 from strsearch.errors import AlreadyFinalized, MissingSentinel, NotFinalized, SentinelCollision
 from strsearch.suffix_tree import TREE_NODE_BYTES
 
 from helpers import ALPHABETS, compact_trie, random_body, scan_oracle
 
 
-def tree_for(body, backend):
-    return build_suffix_tree(body, backend=backend)
+def tree_for(body):
+    return build_suffix_tree(body)
 
 
 # --- construction ------------------------------------------------------------
 
-def test_node_count_mississippi(backend):
-    assert tree_for(b"mississippi", backend).node_count == 19
+def test_node_count_mississippi(kernel):
+    assert tree_for(b"mississippi").node_count == 19
 
 
-def test_node_count_banana(backend):
-    index = tree_for(b"banana", backend)
+def test_node_count_banana(kernel):
+    index = tree_for(b"banana")
     assert index.node_count == 11
     assert index.internal_count == 3
     assert index.leaf_count_total == 7
 
 
-def test_degenerate_text_aaa(backend):
-    index = tree_for(b"aaa", backend)
+def test_degenerate_text_aaa(kernel):
+    index = tree_for(b"aaa")
     assert index.leaf_count_total == 4
     # unary spine: root -> "a" -> "a" with leaves hanging off each level
     assert index.internal_count == 2
     assert index.node_count == 7
 
 
-def test_missing_sentinel(backend):
+def test_missing_sentinel(kernel):
     with pytest.raises(MissingSentinel):
-        build_suffix_tree(make_text(b"abc"), backend=backend)
+        build_suffix_tree(make_text(b"abc"))
 
 
-def test_empty_body_rejected(backend):
+def test_empty_body_rejected(kernel):
     with pytest.raises(ValueError):
-        build_suffix_tree(b"", backend=backend)
+        build_suffix_tree(b"")
 
 
 # --- finalize ------------------------------------------------------------------
 
-def test_finalize_required_for_queries(backend):
-    index = build_suffix_tree(b"banana", finalize=False, backend=backend)
+def test_finalize_required_for_queries(kernel):
+    index = build_suffix_tree(b"banana", finalize=False)
     with pytest.raises(NotFinalized):
         index.find_all(b"a")
     with pytest.raises(NotFinalized):
@@ -61,28 +60,28 @@ def test_finalize_required_for_queries(backend):
     assert index.find_all(b"ana") == [1, 3]
 
 
-def test_finalize_twice_rejected(backend):
-    index = build_suffix_tree(b"banana", backend=backend)
+def test_finalize_twice_rejected(kernel):
+    index = build_suffix_tree(b"banana")
     with pytest.raises(AlreadyFinalized):
         index.finalize()
 
 
-def test_root_leaf_count_banana(backend):
-    index = tree_for(b"banana", backend)
+def test_root_leaf_count_banana(kernel):
+    index = tree_for(b"banana")
     assert index.leaf_count_of(0) == 7
 
 
-def test_leaf_suffix_indexes_are_permutation(backend):
+def test_leaf_suffix_indexes_are_permutation(kernel):
     rng = random.Random(11)
     for _ in range(20):
         body = random_body(rng, b"abc", rng.randint(1, 90))
-        index = tree_for(body, backend)
+        index = tree_for(body)
         leaves = [v for v in range(index.node_count) if index.is_leaf(v)]
         assert sorted(index.suffix_index_of(v) for v in leaves) == list(range(len(body) + 1))
 
 
-def test_leaf_count_under_a_in_banana(backend):
-    index = tree_for(b"banana", backend)
+def test_leaf_count_under_a_in_banana(kernel):
+    index = tree_for(b"banana")
     locus = index.descend(b"a")
     assert locus is not None
     assert index.leaf_count_of(locus.node) == 3  # suffixes at 1, 3, 5
@@ -90,8 +89,8 @@ def test_leaf_count_under_a_in_banana(backend):
 
 # --- descend -----------------------------------------------------------------------
 
-def test_descend_examples(backend):
-    index = tree_for(b"banana", backend)
+def test_descend_examples(kernel):
+    index = tree_for(b"banana")
     locus = index.descend(b"ana")
     assert index.leaf_count_of(locus.node) == 2
     assert index.descend(b"nab") is None
@@ -101,11 +100,11 @@ def test_descend_examples(backend):
     assert locus.edge_offset == 1
 
 
-def test_descend_comparisons_at_most_pattern_length(backend):
+def test_descend_comparisons_at_most_pattern_length(kernel):
     rng = random.Random(13)
     for _ in range(60):
         body = random_body(rng, b"ab", rng.randint(1, 200))
-        index = tree_for(body, backend)
+        index = tree_for(body)
         for _ in range(10):
             m = rng.randint(1, 16)
             if rng.random() < 0.5 and m <= len(body):
@@ -118,32 +117,30 @@ def test_descend_comparisons_at_most_pattern_length(backend):
             assert c.comparisons <= m
 
 
-def test_pattern_with_sentinel_rejected(backend):
-    index = tree_for(b"abc", backend)
+def test_pattern_with_sentinel_rejected(kernel):
+    index = tree_for(b"abc")
     with pytest.raises(SentinelCollision):
         index.find_all(b"a\x00")
 
 
 # --- count / find_all -----------------------------------------------------------
 
-def test_count_examples(backend):
-    index = tree_for(b"mississippi", backend)
+def test_count_examples(kernel):
+    index = tree_for(b"mississippi")
     assert index.count(b"issi") == 2
     assert index.count(b"q") == 0
-    assert tree_for(b"aaaa", backend).count(b"a") == 4
+    assert tree_for(b"aaaa").count(b"a") == 4
 
 
-def test_find_all_examples(backend):
-    assert tree_for(b"banana", backend).find_all(b"ana") == [1, 3]
-    assert tree_for(b"mississippi", backend).find_all(b"issi") == [1, 4]
-    assert tree_for(b"banana", backend).find_all(b"banana") == [0]
+def test_find_all_examples(kernel):
+    assert tree_for(b"banana").find_all(b"ana") == [1, 3]
+    assert tree_for(b"mississippi").find_all(b"issi") == [1, 4]
+    assert tree_for(b"banana").find_all(b"banana") == [0]
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_queries_match_scan_oracle(data):
-    from conftest import _available_backends
-
     symbols = ALPHABETS[data.draw(st.sampled_from(sorted(ALPHABETS)))]
     body = bytes(data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=150)))
     pats = []
@@ -154,12 +151,11 @@ def test_queries_match_scan_oracle(data):
             pats.append(body[start : start + m])
         else:
             pats.append(bytes(data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=8))))
-    for bk in _available_backends():
-        index = tree_for(body, bk)
-        for pat in pats:
-            want = scan_oracle(body, pat)
-            assert index.find_all(pat) == want
-            assert index.count(pat) == len(want)
+    index = tree_for(body)
+    for pat in pats:
+        want = scan_oracle(body, pat)
+        assert index.find_all(pat) == want
+        assert index.count(pat) == len(want)
 
 
 # --- structure invariants ----------------------------------------------------------
@@ -214,37 +210,55 @@ def check_structure(index, body):
         assert e - s >= 1
 
 
-def test_structure_invariants(backend):
+def test_structure_invariants(kernel):
     rng = random.Random(402)
     for body in [b"mississippi", b"banana", b"aaaa", b"ab"]:
-        check_structure(tree_for(body, backend), body)
+        check_structure(tree_for(body), body)
     for _ in range(40):
         symbols = ALPHABETS[rng.choice(sorted(ALPHABETS))]
         body = random_body(rng, symbols, rng.randint(1, 250))
-        check_structure(tree_for(body, backend), body)
+        check_structure(tree_for(body), body)
 
 
-def test_compacted_trie_is_isomorphic(backend):
+def test_compacted_trie_is_isomorphic(kernel):
     rng = random.Random(77)
     for _ in range(60):
         symbols = ALPHABETS[rng.choice(sorted(ALPHABETS))]
         body = random_body(rng, symbols, rng.randint(1, 160))
         data = body + b"\x00"
         want_count, want_labels = compact_trie(data)
-        index = tree_for(body, backend)
+        index = tree_for(body)
         assert index.node_count == want_count
         assert sorted(index.edge_labels()) == want_labels
 
 
-def test_stats_report(backend):
-    stats = tree_for(b"mississippi", backend).stats()
+def test_stats_report(kernel):
+    stats = tree_for(b"mississippi").stats()
     assert stats.node_count == 19
     assert stats.leaf_count == 12
     assert stats.internal_count == 6
     assert stats.max_depth == 12
     assert stats.logical_bytes == 19 * TREE_NODE_BYTES
-    assert tree_for(b"a", backend).stats().node_count == 3
-    assert tree_for(b"abab", backend).stats().leaf_count == 5
+    assert tree_for(b"a").stats().node_count == 3
+    assert tree_for(b"abab").stats().leaf_count == 5
+
+
+INTROSPECTION = (
+    "is_leaf", "children_of", "edge_span", "suffix_link_of",
+    "suffix_index_of", "leaf_count_of", "path_depth_of",
+)
+
+
+def test_introspection_rejects_bad_node_ids():
+    index = tree_for(b"banana")
+    for bad in (-1, -5, index.node_count, 10**7):
+        for name in INTROSPECTION:
+            with pytest.raises(IndexError):
+                getattr(index, name)(bad)
+    last = index.node_count - 1
+    for name in INTROSPECTION:
+        getattr(index, name)(0)
+        getattr(index, name)(last)
 
 
 # --- online construction ---------------------------------------------------------
@@ -266,7 +280,7 @@ def _spelled_strings(kernel, data):
     return spelled
 
 
-def test_online_property_implicit_prefixes(backend):
+def test_online_property_implicit_prefixes(kernel):
     # after processing any prefix, the implicit tree spells exactly the
     # substrings of that prefix (hence covers all its suffixes)
     rng = random.Random(31)
@@ -274,23 +288,23 @@ def test_online_property_implicit_prefixes(backend):
         body = random_body(rng, b"ab", rng.randint(1, 40))
         for i in range(1, len(body) + 1):
             prefix = body[:i]
-            kernel = _backend.kernel(backend).TreeKernel(prefix)
-            kernel.build(True)
+            tree = kernel.TreeKernel(prefix)
+            tree.build(True)
             substrings = {
                 prefix[a:b] for a in range(i) for b in range(a + 1, i + 1)
             }
-            assert _spelled_strings(kernel, prefix) == substrings
+            assert _spelled_strings(tree, prefix) == substrings
 
 
 # --- scaling -----------------------------------------------------------------------
 
-def test_build_steps_scale_linearly(backend):
+def test_build_steps_scale_linearly(kernel):
     from strsearch.datagen import DNA_UNIFORM, GenSpec, generate_text
 
     per_char = {}
     for n in (1_000, 10_000, 100_000):
         body = generate_text(GenSpec(alphabet=DNA_UNIFORM, length=n, seed=n)).body
-        index = tree_for(body, backend)
+        index = tree_for(body)
         per_char[n] = index.build_steps / n
         assert index.build_steps <= 20 * n
         assert index.node_count <= 2 * (n + 1) - 1
@@ -300,10 +314,10 @@ def test_build_steps_scale_linearly(backend):
 
 # --- concurrency ----------------------------------------------------------------
 
-def test_concurrent_queries(backend):
+def test_concurrent_queries(kernel):
     rng = random.Random(88)
     body = random_body(rng, b"ACGT", 5000)
-    index = tree_for(body, backend)
+    index = tree_for(body)
     pats = [body[rng.randrange(0, 4990) :][:10] for _ in range(40)]
     want = [scan_oracle(body, p) for p in pats]
     with ThreadPoolExecutor(max_workers=4) as pool:
