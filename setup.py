@@ -1,9 +1,10 @@
-"""Build script for in-place builds (``python setup.py build_ext --inplace``).
+"""Build script for the C suffix tree kernel.
 
-The package is pure Python and configured in pyproject.toml, so an in-place
-build has nothing to compile.
+``python setup.py build_ext --inplace`` compiles ``src/strsearch/_tree.c``
+next to the package sources (it needs a C compiler and the Python headers);
+the rest of the package is pure Python and configured in pyproject.toml.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-setup()
+setup(ext_modules=[Extension("strsearch._tree", ["src/strsearch/_tree.c"])])

@@ -7,10 +7,14 @@ an uncompressed suffix trie for structural comparison, the four classical
 single-pattern matchers (naive, KMP, Rabin-Karp, Boyer-Moore), seeded
 dataset generation, and a benchmark harness with CSV output.
 
-The hot loops live in one pure-Python kernel module, ``strsearch._pykernel``;
-``active_backend()`` names it.
+The suffix tree is a C extension, ``strsearch._tree``, compiled by
+``python setup.py build_ext --inplace``; ``active_backend()`` names it. The
+classical scans run in pure Python (``strsearch._pykernel``), which also holds
+the reference tree kernel the tests compare the C one against.
 """
 
+# suffix_tree first: it raises the ImportError that names the build command
+from .suffix_tree import Locus, SuffixTreeIndex, build_suffix_tree
 from ._backend import active_backend
 from .baselines import (
     BmTables,
@@ -51,7 +55,6 @@ from .datagen import (
     read_text_file,
     sample_patterns,
 )
-from .suffix_tree import Locus, SuffixTreeIndex, build_suffix_tree
 from .suffix_trie import IndexStats, SuffixTrieIndex, build_suffix_trie
 
 __version__ = "0.1.0"

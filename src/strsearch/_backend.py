@@ -1,22 +1,23 @@
-"""The search kernel behind the public API.
+"""The suffix tree kernel behind the public API.
 
-There is one kernel, ``strsearch._pykernel``; the public modules call it
-directly. These two functions name it for tooling that records which kernel
-a run used.
+The public API builds its trees with the C kernel ``strsearch._tree``; the
+classical scans stay in pure Python (``strsearch._pykernel``). These two
+functions name the tree kernel for tooling that records which kernel a run
+used.
 """
 
 from __future__ import annotations
 
 from types import ModuleType
 
-from . import _pykernel
+from . import _tree
 
 
 def kernel() -> ModuleType:
-    """The kernel module the public API runs on."""
-    return _pykernel
+    """The tree kernel module the public API runs on."""
+    return _tree
 
 
 def active_backend() -> str:
-    """Short name of that kernel (``"py"``)."""
-    return _pykernel.NAME
+    """Short name of that kernel (``"c"``)."""
+    return _tree.NAME

@@ -1,8 +1,12 @@
-"""Search kernels: the hot loops behind the public API.
+"""Pure-Python kernels: the classical scans and the reference suffix tree.
 
-The four classical scan loops and the suffix tree kernel, in pure Python.
-Scans fill a caller-supplied Counters object with their comparison,
-alignment and hash-hit counts when one is passed.
+The four classical scan loops run behind ``strsearch.baselines``. They fill a
+caller-supplied Counters object with their comparison, alignment and hash-hit
+counts when one is passed.
+
+``TreeKernel`` is the reference implementation of the suffix tree kernel.
+The public API runs on its C twin, ``strsearch._tree``, which builds the same
+tree node for node; the tests compare the two.
 
 Inputs are plain ``bytes``; validation and type wrapping happen in the public
 modules (``strsearch.baselines``, ``strsearch.suffix_tree``).
@@ -259,6 +263,8 @@ class TreeKernel:
     )
 
     def __init__(self, data: bytes):
+        if not isinstance(data, bytes):
+            raise TypeError(f"TreeKernel() argument must be bytes, not {type(data).__name__}")
         self.data = data
         self.n_total = len(data)
         self.edge_start = [0]
@@ -303,6 +309,8 @@ class TreeKernel:
         """
         if self.built:
             raise RuntimeError("kernel already built")
+        if self.finalized:
+            raise RuntimeError("kernel already finalized")
         self.built = True
         gc_was_enabled = gc.isenabled()
         gc.disable()
@@ -440,6 +448,9 @@ class TreeKernel:
         mismatch. Each consumed pattern byte costs exactly one comparison,
         so comparisons <= len(pat).
         """
+        self._require_finalized()
+        if not pat:
+            raise ValueError("empty pattern is not allowed")
         data = self.data
         es = self.edge_start
         ee = self.edge_end
@@ -483,7 +494,7 @@ class TreeKernel:
             return []
         ch = self.children
         sfx = self.suffix_index
-        limit = self.n_total - 1 - len(pat)  # occurrences never start past n - m
+        limit = self.n_total - len(pat)  # an occurrence must fit inside the text
         out = []
         stack = [node]
         while stack:
@@ -491,7 +502,8 @@ class TreeKernel:
             kids = ch[v]
             if kids is None:
                 p = sfx[v]
-                assert p <= limit, "leaf below the pattern locus maps past the body"
+                if p > limit:
+                    raise RuntimeError("leaf below the pattern locus maps past the text")
                 out.append(p)
             else:
                 stack.extend(kids.values())
@@ -500,26 +512,43 @@ class TreeKernel:
 
     # -- introspection --------------------------------------------------------
 
+    def _require_finalized(self) -> None:
+        if not self.finalized:
+            raise RuntimeError("finalize() the kernel before querying")
+
+    def _node(self, v: int) -> int:
+        """The node id itself, if it names a node; IndexError otherwise."""
+        if not 0 <= v < self.n_nodes:
+            raise IndexError(f"node id {v} out of range [0, {self.n_nodes})")
+        return v
+
     def is_leaf(self, v: int) -> bool:
-        return self.children[v] is None
+        return self.children[self._node(v)] is None
 
     def children_of(self, v: int) -> list[tuple[int, int]]:
-        kids = self.children[v]
+        kids = self.children[self._node(v)]
         if kids is None:
             return []
         return sorted(kids.items())
 
     def edge_span(self, v: int) -> tuple[int, int]:
+        v = self._node(v)
         return (self.edge_start[v], self.edge_end[v])
 
     def suffix_link_of(self, v: int) -> int:
-        return self.slink[v]
+        return self.slink[self._node(v)]
 
     def suffix_index_of(self, v: int) -> int:
+        v = self._node(v)
+        self._require_finalized()
         return self.suffix_index[v]
 
     def leaf_count_of(self, v: int) -> int:
+        v = self._node(v)
+        self._require_finalized()
         return self.leaf_count[v]
 
     def path_depth_of(self, v: int) -> int:
+        v = self._node(v)
+        self._require_finalized()
         return self.path_depth[v]

@@ -7,11 +7,15 @@ construction work is linear in the text length. Edge labels are (start, end)
 coordinates into the shared text, never copied substrings.
 
 A build is a two-step affair: construction over the sentinel-terminated text,
-then finalize(), a single depth-first pass that freezes the open leaf ends,
-assigns each leaf the start position of its suffix, and precomputes per-node
-leaf counts and path depths. Queries are only legal on a finalized index:
-counting an occurrence total is then a descent plus one leaf-count lookup,
-and enumeration walks just the located subtree.
+then finalize(), a single depth-first pass in byte order that freezes the
+open leaf ends, lists the leaves' suffix starts in lexicographic order, and
+gives every node its path depth and the interval of that list its subtree
+covers. Queries are only legal on a finalized index: counting an occurrence
+total is then a descent plus one interval length, and enumeration a sorted
+copy of the interval.
+
+The tree itself lives in the C kernel ``strsearch._tree``, built by
+``python setup.py build_ext --inplace``.
 
 A finalized index is deeply immutable and safe for concurrent readers.
 """
@@ -20,7 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _pykernel
+try:
+    from ._tree import TreeKernel
+except ImportError as exc:
+    raise ImportError(
+        "strsearch._tree is not built; run `python setup.py build_ext --inplace` "
+        "in the source checkout (it needs a C compiler and the Python headers)"
+    ) from exc
+
 from .core import Counters, Pattern, Text, as_pattern, make_text
 from .errors import AlreadyFinalized, MissingSentinel, NotFinalized, SentinelCollision
 from .suffix_trie import IndexStats
@@ -66,11 +77,18 @@ class SuffixTreeIndex:
             raise NotFinalized("finalize() the index before querying")
 
     def _query_bytes(self, pattern: Pattern | bytes | str) -> bytes:
-        self._require_finalized()
-        pat = as_pattern(pattern)
-        if self.text.sentinel in pat.data:
+        if not self._k.finalized:
+            raise NotFinalized("finalize() the index before querying")
+        # exact bytes skip the Pattern wrapper; its one check is inlined
+        if type(pattern) is bytes:
+            if not pattern:
+                raise ValueError("empty pattern is not allowed")
+            pat = pattern
+        else:
+            pat = as_pattern(pattern).data
+        if self.text.sentinel in pat:
             raise SentinelCollision("pattern contains the text's sentinel byte")
-        return pat.data
+        return pat
 
     # -- queries ------------------------------------------------------------
 
@@ -130,36 +148,32 @@ class SuffixTreeIndex:
 
     # -- introspection (used by invariant checks and tooling) ----------------
 
-    def _node(self, node: int) -> int:
-        """The node id itself, if it names a node; IndexError otherwise."""
-        if not 0 <= node < self._k.n_nodes:
-            raise IndexError(f"node id {node} out of range [0, {self._k.n_nodes})")
-        return node
+    # the kernel raises IndexError for an id outside [0, node_count)
 
     def is_leaf(self, node: int) -> bool:
-        return self._k.is_leaf(self._node(node))
+        return self._k.is_leaf(node)
 
     def children_of(self, node: int) -> list[tuple[int, int]]:
         """(first byte, child id) pairs in ascending byte order."""
-        return self._k.children_of(self._node(node))
+        return self._k.children_of(node)
 
     def edge_span(self, node: int) -> tuple[int, int]:
-        return self._k.edge_span(self._node(node))
+        return self._k.edge_span(node)
 
     def suffix_link_of(self, node: int) -> int:
-        return self._k.suffix_link_of(self._node(node))
+        return self._k.suffix_link_of(node)
 
     def suffix_index_of(self, node: int) -> int:
         self._require_finalized()
-        return self._k.suffix_index_of(self._node(node))
+        return self._k.suffix_index_of(node)
 
     def leaf_count_of(self, node: int) -> int:
         self._require_finalized()
-        return self._k.leaf_count_of(self._node(node))
+        return self._k.leaf_count_of(node)
 
     def path_depth_of(self, node: int) -> int:
         self._require_finalized()
-        return self._k.path_depth_of(self._node(node))
+        return self._k.path_depth_of(node)
 
     def edge_labels(self) -> list[bytes]:
         """Every edge label in the tree, as concrete byte strings."""
@@ -192,7 +206,7 @@ def build_suffix_tree(
         raise MissingSentinel("suffix tree requires sentinel-terminated text")
     if text.body_len < 1:
         raise ValueError("suffix tree requires a non-empty body")
-    k = _pykernel.TreeKernel(text.data)
+    k = TreeKernel(text.data)
     k.build()
     index = SuffixTreeIndex(k, text)
     if finalize:

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strsearch import Counters, build_suffix_tree, make_text
+from strsearch import Counters, Pattern, build_suffix_tree, make_text
 from strsearch.errors import AlreadyFinalized, MissingSentinel, NotFinalized, SentinelCollision
 from strsearch.suffix_tree import TREE_NODE_BYTES
 
@@ -17,18 +17,18 @@ def tree_for(body):
 
 # --- construction ------------------------------------------------------------
 
-def test_node_count_mississippi(kernel):
+def test_node_count_mississippi(tree_kernel):
     assert tree_for(b"mississippi").node_count == 19
 
 
-def test_node_count_banana(kernel):
+def test_node_count_banana(tree_kernel):
     index = tree_for(b"banana")
     assert index.node_count == 11
     assert index.internal_count == 3
     assert index.leaf_count_total == 7
 
 
-def test_degenerate_text_aaa(kernel):
+def test_degenerate_text_aaa(tree_kernel):
     index = tree_for(b"aaa")
     assert index.leaf_count_total == 4
     # unary spine: root -> "a" -> "a" with leaves hanging off each level
@@ -36,19 +36,19 @@ def test_degenerate_text_aaa(kernel):
     assert index.node_count == 7
 
 
-def test_missing_sentinel(kernel):
+def test_missing_sentinel(tree_kernel):
     with pytest.raises(MissingSentinel):
         build_suffix_tree(make_text(b"abc"))
 
 
-def test_empty_body_rejected(kernel):
+def test_empty_body_rejected(tree_kernel):
     with pytest.raises(ValueError):
         build_suffix_tree(b"")
 
 
 # --- finalize ------------------------------------------------------------------
 
-def test_finalize_required_for_queries(kernel):
+def test_finalize_required_for_queries(tree_kernel):
     index = build_suffix_tree(b"banana", finalize=False)
     with pytest.raises(NotFinalized):
         index.find_all(b"a")
@@ -60,18 +60,18 @@ def test_finalize_required_for_queries(kernel):
     assert index.find_all(b"ana") == [1, 3]
 
 
-def test_finalize_twice_rejected(kernel):
+def test_finalize_twice_rejected(tree_kernel):
     index = build_suffix_tree(b"banana")
     with pytest.raises(AlreadyFinalized):
         index.finalize()
 
 
-def test_root_leaf_count_banana(kernel):
+def test_root_leaf_count_banana(tree_kernel):
     index = tree_for(b"banana")
     assert index.leaf_count_of(0) == 7
 
 
-def test_leaf_suffix_indexes_are_permutation(kernel):
+def test_leaf_suffix_indexes_are_permutation(tree_kernel):
     rng = random.Random(11)
     for _ in range(20):
         body = random_body(rng, b"abc", rng.randint(1, 90))
@@ -80,7 +80,7 @@ def test_leaf_suffix_indexes_are_permutation(kernel):
         assert sorted(index.suffix_index_of(v) for v in leaves) == list(range(len(body) + 1))
 
 
-def test_leaf_count_under_a_in_banana(kernel):
+def test_leaf_count_under_a_in_banana(tree_kernel):
     index = tree_for(b"banana")
     locus = index.descend(b"a")
     assert locus is not None
@@ -89,7 +89,7 @@ def test_leaf_count_under_a_in_banana(kernel):
 
 # --- descend -----------------------------------------------------------------------
 
-def test_descend_examples(kernel):
+def test_descend_examples(tree_kernel):
     index = tree_for(b"banana")
     locus = index.descend(b"ana")
     assert index.leaf_count_of(locus.node) == 2
@@ -100,7 +100,7 @@ def test_descend_examples(kernel):
     assert locus.edge_offset == 1
 
 
-def test_descend_comparisons_at_most_pattern_length(kernel):
+def test_descend_comparisons_at_most_pattern_length(tree_kernel):
     rng = random.Random(13)
     for _ in range(60):
         body = random_body(rng, b"ab", rng.randint(1, 200))
@@ -117,22 +117,49 @@ def test_descend_comparisons_at_most_pattern_length(kernel):
             assert c.comparisons <= m
 
 
-def test_pattern_with_sentinel_rejected(kernel):
+def test_pattern_with_sentinel_rejected(tree_kernel):
     index = tree_for(b"abc")
     with pytest.raises(SentinelCollision):
         index.find_all(b"a\x00")
 
 
+QUERY_INPUTS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "str": lambda b: b.decode("ascii"),
+    "Pattern": Pattern,
+}
+
+
+@pytest.mark.parametrize("wrap", QUERY_INPUTS.values(), ids=QUERY_INPUTS.keys())
+def test_query_input_types_agree(wrap):
+    index = tree_for(b"mississippi")
+    for pat, want in [(b"issi", [1, 4]), (b"s", [2, 3, 5, 6]), (b"q", [])]:
+        assert index.count(wrap(pat)) == len(want)
+        assert index.find_all(wrap(pat)) == want
+        assert (index.descend(wrap(pat)) is None) == (not want)
+    queries = (index.count, index.find_all, index.descend)
+    for pat, error in [(b"", ValueError), (b"s\x00", SentinelCollision)]:
+        for query in queries:
+            with pytest.raises(error):
+                query(wrap(pat))
+    # the finalize check comes before the pattern checks
+    raw = build_suffix_tree(b"mississippi", finalize=False)
+    for query in (raw.count, raw.find_all, raw.descend):
+        with pytest.raises(NotFinalized):
+            query(wrap(b"s\x00"))
+
+
 # --- count / find_all -----------------------------------------------------------
 
-def test_count_examples(kernel):
+def test_count_examples(tree_kernel):
     index = tree_for(b"mississippi")
     assert index.count(b"issi") == 2
     assert index.count(b"q") == 0
     assert tree_for(b"aaaa").count(b"a") == 4
 
 
-def test_find_all_examples(kernel):
+def test_find_all_examples(tree_kernel):
     assert tree_for(b"banana").find_all(b"ana") == [1, 3]
     assert tree_for(b"mississippi").find_all(b"issi") == [1, 4]
     assert tree_for(b"banana").find_all(b"banana") == [0]
@@ -210,7 +237,7 @@ def check_structure(index, body):
         assert e - s >= 1
 
 
-def test_structure_invariants(kernel):
+def test_structure_invariants(tree_kernel):
     rng = random.Random(402)
     for body in [b"mississippi", b"banana", b"aaaa", b"ab"]:
         check_structure(tree_for(body), body)
@@ -220,7 +247,7 @@ def test_structure_invariants(kernel):
         check_structure(tree_for(body), body)
 
 
-def test_compacted_trie_is_isomorphic(kernel):
+def test_compacted_trie_is_isomorphic(tree_kernel):
     rng = random.Random(77)
     for _ in range(60):
         symbols = ALPHABETS[rng.choice(sorted(ALPHABETS))]
@@ -232,7 +259,7 @@ def test_compacted_trie_is_isomorphic(kernel):
         assert sorted(index.edge_labels()) == want_labels
 
 
-def test_stats_report(kernel):
+def test_stats_report(tree_kernel):
     stats = tree_for(b"mississippi").stats()
     assert stats.node_count == 19
     assert stats.leaf_count == 12
@@ -280,7 +307,7 @@ def _spelled_strings(kernel, data):
     return spelled
 
 
-def test_online_property_implicit_prefixes(kernel):
+def test_online_property_implicit_prefixes(tree_kernel):
     # after processing any prefix, the implicit tree spells exactly the
     # substrings of that prefix (hence covers all its suffixes)
     rng = random.Random(31)
@@ -288,7 +315,7 @@ def test_online_property_implicit_prefixes(kernel):
         body = random_body(rng, b"ab", rng.randint(1, 40))
         for i in range(1, len(body) + 1):
             prefix = body[:i]
-            tree = kernel.TreeKernel(prefix)
+            tree = tree_kernel.TreeKernel(prefix)
             tree.build(True)
             substrings = {
                 prefix[a:b] for a in range(i) for b in range(a + 1, i + 1)
@@ -298,7 +325,7 @@ def test_online_property_implicit_prefixes(kernel):
 
 # --- scaling -----------------------------------------------------------------------
 
-def test_build_steps_scale_linearly(kernel):
+def test_build_steps_scale_linearly(tree_kernel):
     from strsearch.datagen import DNA_UNIFORM, GenSpec, generate_text
 
     per_char = {}
@@ -314,7 +341,7 @@ def test_build_steps_scale_linearly(kernel):
 
 # --- concurrency ----------------------------------------------------------------
 
-def test_concurrent_queries(kernel):
+def test_concurrent_queries(tree_kernel):
     rng = random.Random(88)
     body = random_body(rng, b"ACGT", 5000)
     index = tree_for(body)
