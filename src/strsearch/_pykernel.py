@@ -248,17 +248,25 @@ def bm_search(text: bytes, pat: bytes, counters=None) -> list[int]:
 class TreeKernel:
     """Suffix tree over sentinel-terminated bytes, nodes addressed by index.
 
-    Node 0 is the root. Leaf edges carry end = -1 (the shared open frontier)
-    until finalize() freezes them to the text length. Children are per-node
-    dicts keyed by first edge byte; iteration helpers report them in
-    ascending byte order.
+    Node ids are the C kernel's. Internal nodes take 0..I-1 in creation
+    order, the root at 0. The construction loop creates the leaf of suffix
+    j as its j-th leaf, and that leaf takes the id I + j, so the ids stay
+    dense. Inside the kernel a child reference is an internal id, or ``~j``
+    for leaf j; ids are mapped only where a method takes or returns one.
+    Unlike the C kernel, this one derives a leaf's suffix from its path
+    depth rather than from its id, so comparing the two checks that order.
+
+    A leaf keeps only its edge start; its edge ends at -1 (the shared open
+    frontier) until finalize() freezes it to the text length. Children are
+    per-node dicts keyed by first edge byte; iteration helpers report them
+    in ascending byte order.
     """
 
     __slots__ = (
         "data", "n_total",
-        "edge_start", "edge_end", "slink", "children",
-        "suffix_index", "leaf_count", "path_depth",
-        "n_nodes", "n_leaves", "max_depth",
+        "edge_start", "edge_end", "slink", "children", "leaf_start",
+        "leaf_depth", "leaf_count", "path_depth",
+        "n_leaves", "max_depth",
         "build_steps", "built", "finalized",
     )
 
@@ -267,38 +275,40 @@ class TreeKernel:
             raise TypeError(f"TreeKernel() argument must be bytes, not {type(data).__name__}")
         self.data = data
         self.n_total = len(data)
+        # internal nodes, by id
         self.edge_start = [0]
         self.edge_end = [0]
         self.slink = [0]
-        self.children: list[dict | None] = [{}]
-        self.suffix_index: list[int] = []
+        self.children: list[dict] = [{}]
+        # leaves, by suffix
+        self.leaf_start: list[int] = []
+        self.leaf_depth: list[int] = []
+        # internal nodes, filled by finalize()
         self.leaf_count: list[int] = []
         self.path_depth: list[int] = []
-        self.n_nodes = 1
         self.n_leaves = 0
         self.max_depth = 0
         self.build_steps = 0
         self.built = False
         self.finalized = False
 
+    @property
+    def n_nodes(self) -> int:
+        return len(self.edge_start) + len(self.leaf_start)
+
     # -- construction -------------------------------------------------------
 
     def _new_leaf(self, start: int) -> int:
-        v = self.n_nodes
-        self.edge_start.append(start)
-        self.edge_end.append(-1)
-        self.slink.append(0)
-        self.children.append(None)
-        self.n_nodes = v + 1
-        return v
+        j = len(self.leaf_start)
+        self.leaf_start.append(start)
+        return ~j
 
     def _new_internal(self, start: int, end: int) -> int:
-        v = self.n_nodes
+        v = len(self.edge_start)
         self.edge_start.append(start)
         self.edge_end.append(end)
         self.slink.append(0)
         self.children.append({})
-        self.n_nodes = v + 1
         return v
 
     def build(self, allow_implicit: bool = False) -> None:
@@ -327,6 +337,7 @@ class TreeKernel:
         ee = self.edge_end
         sl = self.slink
         ch = self.children
+        ls = self.leaf_start
 
         active_node = 0
         active_edge = 0  # text index of the first byte on the active edge
@@ -352,26 +363,34 @@ class TreeKernel:
                         sl[last_internal] = active_node
                         last_internal = -1
                 else:
-                    end = ee[nxt]
-                    edge_len = (end if end != -1 else pos + 1) - es[nxt]
+                    if nxt >= 0:
+                        start = es[nxt]
+                        edge_len = ee[nxt] - start
+                    else:
+                        start = ls[~nxt]
+                        edge_len = pos + 1 - start
                     if active_len >= edge_len:
-                        # canonicalize: hop over the whole edge
+                        # canonicalize: hop over the whole edge (an internal
+                        # one: a leaf edge reaches past the active point)
                         active_node = nxt
                         active_edge += edge_len
                         active_len -= edge_len
                         continue
-                    if data[es[nxt] + active_len] == c_pos:
+                    if data[start + active_len] == c_pos:
                         # suffix already present implicitly; phase ends
                         if last_internal >= 0 and active_node != 0:
                             sl[last_internal] = active_node
                         active_len += 1
                         break
                     # split the edge, add a new leaf for the current byte
-                    split = self._new_internal(es[nxt], es[nxt] + active_len)
+                    split = self._new_internal(start, start + active_len)
                     kids[first] = split
-                    es[nxt] += active_len
+                    if nxt >= 0:
+                        es[nxt] = start + active_len
+                    else:
+                        ls[~nxt] = start + active_len
                     split_kids = ch[split]
-                    split_kids[data[es[nxt]]] = nxt
+                    split_kids[data[start + active_len]] = nxt
                     split_kids[c_pos] = self._new_leaf(pos)
                     if last_internal >= 0:
                         sl[last_internal] = split
@@ -388,66 +407,46 @@ class TreeKernel:
             raise RuntimeError("construction left pending suffixes; text lacks a unique terminator")
 
     def finalize(self) -> None:
-        """Freeze leaf edges, then fill depth, suffix index, and leaf counts."""
+        """Fill path depths and leaf counts; leaf edges end at the text's end."""
         if self.finalized:
             raise RuntimeError("kernel already finalized")
         self.finalized = True
-        n_nodes = self.n_nodes
         n_total = self.n_total
         es = self.edge_start
         ee = self.edge_end
         ch = self.children
+        ls = self.leaf_start
 
-        depth = [0] * n_nodes
-        parent = [-1] * n_nodes
-        sfx = [-1] * n_nodes
-        lc = [0] * n_nodes
+        depth = [0] * len(es)
+        lc = [0] * len(es)
+        leaf_depth = [0] * len(ls)
 
         order = []
         stack = [0]
+        n_leaves = 0
         while stack:
             v = stack.pop()
             order.append(v)
-            if ee[v] == -1:
-                ee[v] = n_total
-            p = parent[v]
-            if p >= 0:
-                depth[v] = depth[p] + ee[v] - es[v]
-            kids = ch[v]
-            if kids is not None:
-                for w in kids.values():
-                    parent[w] = v
+            for w in ch[v].values():
+                if w >= 0:
+                    depth[w] = depth[v] + ee[w] - es[w]
                     stack.append(w)
-
-        n_leaves = 0
-        max_depth = 0
+                else:
+                    leaf_depth[~w] = depth[v] + n_total - ls[~w]
+                    n_leaves += 1
         for v in reversed(order):
-            d = depth[v]
-            if d > max_depth:
-                max_depth = d
-            if ch[v] is None:
-                lc[v] = 1
-                sfx[v] = n_total - d
-                n_leaves += 1
-            p = parent[v]
-            if p >= 0:
-                lc[p] += lc[v]
+            lc[v] = sum(lc[w] if w >= 0 else 1 for w in ch[v].values())
 
         self.path_depth = depth
-        self.suffix_index = sfx
+        self.leaf_depth = leaf_depth
         self.leaf_count = lc
         self.n_leaves = n_leaves
-        self.max_depth = max_depth
+        self.max_depth = max(depth + leaf_depth)
 
     # -- queries (legal only after finalize) ---------------------------------
 
-    def descend(self, pat: bytes) -> tuple[int, int, int]:
-        """Walk the pattern from the root.
-
-        Returns (node, offset_within_edge, comparisons); node is -1 on a
-        mismatch. Each consumed pattern byte costs exactly one comparison,
-        so comparisons <= len(pat).
-        """
+    def _descend(self, pat: bytes) -> tuple[int | None, int, int]:
+        """descend() with the locus as a child reference, None on a mismatch."""
         self._require_finalized()
         if not pat:
             raise ValueError("empty pattern is not allowed")
@@ -460,53 +459,67 @@ class TreeKernel:
         i = 0
         comps = 0
         while True:
-            kids = ch[v]
-            if kids is None:
-                return (-1, -1, comps)
             comps += 1
-            w = kids.get(pat[i])
+            w = ch[v].get(pat[i])
             if w is None:
-                return (-1, -1, comps)
+                return (None, -1, comps)
             i += 1
-            start = es[w]
-            end = ee[w]
+            if w >= 0:
+                start = es[w]
+                end = ee[w]
+            else:
+                start = self.leaf_start[~w]
+                end = self.n_total
             k = start + 1
             while k < end and i < m:
                 comps += 1
                 if data[k] != pat[i]:
-                    return (-1, -1, comps)
+                    return (None, -1, comps)
                 k += 1
                 i += 1
             if i == m:
                 return (w, k - start, comps)
+            if w < 0:
+                # the pattern runs past the end of a leaf
+                return (None, -1, comps)
             v = w
 
+    def descend(self, pat: bytes) -> tuple[int, int, int]:
+        """Walk the pattern from the root.
+
+        Returns (node, offset_within_edge, comparisons); node is -1 on a
+        mismatch. Each consumed pattern byte costs exactly one comparison,
+        so comparisons <= len(pat).
+        """
+        ref, off, comps = self._descend(pat)
+        return (-1 if ref is None else self._public(ref), off, comps)
+
     def count(self, pat: bytes) -> int:
-        node, _off, _comps = self.descend(pat)
-        if node < 0:
+        ref, _off, _comps = self._descend(pat)
+        if ref is None:
             return 0
-        return self.leaf_count[node]
+        return self.leaf_count[ref] if ref >= 0 else 1
 
     def collect(self, pat: bytes) -> list[int]:
         """Sorted start offsets of every occurrence of ``pat`` in the body."""
-        node, _off, _comps = self.descend(pat)
-        if node < 0:
+        ref, _off, _comps = self._descend(pat)
+        if ref is None:
             return []
         ch = self.children
-        sfx = self.suffix_index
-        limit = self.n_total - len(pat)  # an occurrence must fit inside the text
+        n_total = self.n_total
+        leaf_depth = self.leaf_depth
+        limit = n_total - len(pat)  # an occurrence must fit inside the text
         out = []
-        stack = [node]
+        stack = [ref]
         while stack:
-            v = stack.pop()
-            kids = ch[v]
-            if kids is None:
-                p = sfx[v]
-                if p > limit:
-                    raise RuntimeError("leaf below the pattern locus maps past the text")
-                out.append(p)
-            else:
-                stack.extend(kids.values())
+            w = stack.pop()
+            if w >= 0:
+                stack.extend(ch[w].values())
+                continue
+            p = n_total - leaf_depth[~w]
+            if p > limit:
+                raise RuntimeError("leaf below the pattern locus maps past the text")
+            out.append(p)
         out.sort()
         return out
 
@@ -516,39 +529,46 @@ class TreeKernel:
         if not self.finalized:
             raise RuntimeError("finalize() the kernel before querying")
 
+    def _public(self, ref: int) -> int:
+        return ref if ref >= 0 else len(self.edge_start) + ~ref
+
     def _node(self, v: int) -> int:
-        """The node id itself, if it names a node; IndexError otherwise."""
+        """The child reference for node id v; IndexError if v names no node."""
         if not 0 <= v < self.n_nodes:
             raise IndexError(f"node id {v} out of range [0, {self.n_nodes})")
-        return v
+        internal = len(self.edge_start)
+        return v if v < internal else ~(v - internal)
 
     def is_leaf(self, v: int) -> bool:
-        return self.children[self._node(v)] is None
+        return self._node(v) < 0
 
     def children_of(self, v: int) -> list[tuple[int, int]]:
-        kids = self.children[self._node(v)]
-        if kids is None:
+        ref = self._node(v)
+        if ref < 0:
             return []
-        return sorted(kids.items())
+        return sorted((b, self._public(w)) for b, w in self.children[ref].items())
 
     def edge_span(self, v: int) -> tuple[int, int]:
-        v = self._node(v)
-        return (self.edge_start[v], self.edge_end[v])
+        ref = self._node(v)
+        if ref >= 0:
+            return (self.edge_start[ref], self.edge_end[ref])
+        return (self.leaf_start[~ref], self.n_total if self.finalized else -1)
 
     def suffix_link_of(self, v: int) -> int:
-        return self.slink[self._node(v)]
+        ref = self._node(v)
+        return self.slink[ref] if ref >= 0 else 0
 
     def suffix_index_of(self, v: int) -> int:
-        v = self._node(v)
+        ref = self._node(v)
         self._require_finalized()
-        return self.suffix_index[v]
+        return self.n_total - self.leaf_depth[~ref] if ref < 0 else -1
 
     def leaf_count_of(self, v: int) -> int:
-        v = self._node(v)
+        ref = self._node(v)
         self._require_finalized()
-        return self.leaf_count[v]
+        return self.leaf_count[ref] if ref >= 0 else 1
 
     def path_depth_of(self, v: int) -> int:
-        v = self._node(v)
+        ref = self._node(v)
         self._require_finalized()
-        return self.path_depth[v]
+        return self.path_depth[ref] if ref >= 0 else self.leaf_depth[~ref]

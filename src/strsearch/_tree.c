@@ -1,21 +1,33 @@
 /* Suffix tree kernel in C: the tree behind strsearch.SuffixTreeIndex.
  *
  * It runs the same Ukkonen loop as strsearch._pykernel.TreeKernel and
- * creates nodes in the same order, so node ids, build_steps and every
+ * numbers nodes the same way, so node ids, build_steps and every
  * introspection answer equal the Python kernel's; tests compare the two.
  *
- * Layout. Node v lives at index v of int32 arrays: edge start (es), edge
- * end (ee, -1 on a leaf until finalize), suffix link (sl), first child (fc)
- * and next sibling (ns); fb[v] is the first byte of v's edge, so a child
- * hop never reads the text. Sibling chains are sorted by first byte. The
- * root keeps a 256-entry child table instead of a chain, since on printable
- * text it has about a hundred children.
+ * Ids. Internal nodes take ids 0..I-1 in creation order, the root at 0.
+ * Ukkonen's loop creates the leaf of suffix j as its j-th leaf, so that
+ * leaf takes the public id I + j and the ids stay dense. Inside the kernel
+ * a child reference r names internal node r when r > 0 and leaf ~r when
+ * r < 0; 0 means none, since the root is nobody's child or sibling.
  *
- * finalize() is one iterative depth-first pass in byte order. It freezes
- * leaf ends and fills the path depth of every node, the suffix start of
- * every leaf in lexicographic order (leaves), and a leaf interval
- * [lo, hi) per node: the leaves below v are leaves[lo[v]:hi[v]]. A leaf
- * count is then hi - lo, and enumeration is a sorted copy of one slice.
+ * Layout. Every node has an edge start (es), a next sibling (ns) and the
+ * first byte of its edge (fb), in int32 and uint8 arrays indexed by the
+ * reference itself: leaves grow down from index -1, internal nodes up from
+ * 0, so a sibling hop is one load whatever kind of node it lands on, and
+ * never reads the text. Only internal nodes have an edge end (ee), a
+ * suffix link (sl) and a first child (fc), in arrays indexed by id. A leaf
+ * needs none of these: its edge ends at the open frontier (n once
+ * finalized), its suffix link is the root, its path depth is n - j and its
+ * leaf count 1. Sibling chains are sorted by first byte. The root keeps a
+ * 256-entry child table instead of a chain, since on printable text it has
+ * about a hundred children.
+ *
+ * finalize() is one iterative depth-first pass in byte order over the
+ * internal nodes; of a leaf it reads only the sibling link. It fills the
+ * path depth of every internal node, the suffix array (leaves: the leaves'
+ * suffix starts in lexicographic order) and a leaf interval [lo, hi) per
+ * internal node: the leaves below v are leaves[lo[v]:hi[v]]. A leaf count
+ * is then hi - lo, and enumeration is a sorted copy of one slice.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -23,16 +35,28 @@
 #include <structmember.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
+
+/* Longest text accepted. Internal ids stay below n, leaf tags at or above
+ * ~(n - 1) and edge ends at or below n, so int32 holds them all; the public
+ * ids (up to 2n) are Python ints. Tests compile a small limit to reach it. */
+#ifndef STRSEARCH_MAX_TEXT
+#define STRSEARCH_MAX_TEXT INT32_MAX
+#endif
 
 typedef struct {
     PyObject_HEAD
     PyObject *text;           /* the bytes the tree indexes, kept alive */
     const unsigned char *d;
     Py_ssize_t n;             /* len(text) */
-    int32_t *es, *ee, *sl, *fc, *ns;
-    uint8_t *fb;
-    int32_t root[256];        /* child of the root by first byte, or -1 */
-    int32_t *depth, *lo, *hi, *leaves;  /* set by finalize */
+    Py_ssize_t cap;           /* room for cap leaves and cap internal nodes */
+    int32_t *es, *ns;         /* by reference, from -cap to cap - 1 */
+    uint8_t *fb;              /* by reference, from -cap to cap - 1 */
+    int32_t *ee, *sl, *fc;    /* by internal id */
+    int32_t root[256];        /* child of the root by first byte, or 0 */
+    int32_t *depth, *lo, *hi; /* internal nodes, set by finalize */
+    int32_t *leaves;          /* the suffix array, set by finalize */
+    Py_ssize_t n_internal, n_built_leaves;
     Py_ssize_t n_nodes, n_leaves, max_depth, build_steps;
     char built, finalized;
 } TreeKernel;
@@ -43,28 +67,32 @@ child(const TreeKernel *t, int32_t v, unsigned char b)
     if (v == 0)
         return t->root[b];
     int32_t w = t->fc[v];
-    while (w >= 0 && t->fb[w] < b)
+    while (w != 0 && t->fb[w] < b)
         w = t->ns[w];
-    return (w >= 0 && t->fb[w] == b) ? w : -1;
-}
-
-static int
-is_leaf(const TreeKernel *t, int32_t v)
-{
-    return v != 0 && t->fc[v] < 0;
+    return (w != 0 && t->fb[w] == b) ? w : 0;
 }
 
 /* ---- construction ------------------------------------------------------ */
 
 static int32_t
-new_node(TreeKernel *t, int32_t start, int32_t end, unsigned char first)
+new_leaf(TreeKernel *t, int32_t start, unsigned char first)
 {
-    int32_t v = (int32_t)t->n_nodes++;
+    int32_t j = (int32_t)t->n_built_leaves++;
+    t->es[~j] = start;
+    t->ns[~j] = 0;
+    t->fb[~j] = first;
+    return ~j;
+}
+
+static int32_t
+new_internal(TreeKernel *t, int32_t start, int32_t end, unsigned char first)
+{
+    int32_t v = (int32_t)t->n_internal++;
     t->es[v] = start;
     t->ee[v] = end;
     t->sl[v] = 0;
-    t->fc[v] = -1;
-    t->ns[v] = -1;
+    t->fc[v] = 0;
+    t->ns[v] = 0;
     t->fb[v] = first;
     return v;
 }
@@ -82,7 +110,7 @@ ukkonen(TreeKernel *t)
 
     for (int32_t pos = 0; pos < n; pos++) {
         unsigned char c_pos = d[pos];
-        int32_t last_internal = -1;
+        int32_t last_internal = 0;  /* 0: none; the root is never split off */
         remainder++;
         while (remainder > 0) {
             steps++;
@@ -90,25 +118,25 @@ ukkonen(TreeKernel *t)
                 active_edge = pos;
             unsigned char first = d[active_edge];
             /* find the child on `first`, and the sibling before its slot */
-            int32_t prev = -1, nxt;
+            int32_t prev = 0, nxt;
             if (active_node == 0) {
                 nxt = t->root[first];
             }
             else {
                 nxt = fc[active_node];
-                while (nxt >= 0 && fb[nxt] < first) {
+                while (nxt != 0 && fb[nxt] < first) {
                     prev = nxt;
                     nxt = ns[nxt];
                 }
-                if (nxt >= 0 && fb[nxt] != first)
-                    nxt = -1;
+                if (nxt != 0 && fb[nxt] != first)
+                    nxt = 0;
             }
-            if (nxt < 0) {
+            if (nxt == 0) {
                 /* new leaf edge hanging off an existing node */
-                int32_t leaf = new_node(t, pos, -1, first);
+                int32_t leaf = new_leaf(t, pos, first);
                 if (active_node == 0)
                     t->root[first] = leaf;
-                else if (prev < 0) {
+                else if (prev == 0) {
                     ns[leaf] = fc[active_node];
                     fc[active_node] = leaf;
                 }
@@ -116,50 +144,53 @@ ukkonen(TreeKernel *t)
                     ns[leaf] = ns[prev];
                     ns[prev] = leaf;
                 }
-                if (last_internal >= 0) {
+                if (last_internal != 0) {
                     sl[last_internal] = active_node;
-                    last_internal = -1;
+                    last_internal = 0;
                 }
             }
             else {
-                int32_t end = ee[nxt];
-                int32_t edge_len = (end != -1 ? end : pos + 1) - es[nxt];
+                int32_t start = es[nxt];
+                int32_t edge_len = (nxt > 0 ? ee[nxt] : pos + 1) - start;
                 if (active_len >= edge_len) {
-                    /* canonicalize: hop over the whole edge */
+                    /* canonicalize: hop over the whole edge. A leaf edge
+                     * always reaches past the active point, so nxt is an
+                     * internal node here. */
                     active_node = nxt;
                     active_edge += edge_len;
                     active_len -= edge_len;
                     continue;
                 }
-                if (d[es[nxt] + active_len] == c_pos) {
+                if (d[start + active_len] == c_pos) {
                     /* suffix already present implicitly; phase ends */
-                    if (last_internal >= 0 && active_node != 0)
+                    if (last_internal != 0 && active_node != 0)
                         sl[last_internal] = active_node;
                     active_len++;
                     break;
                 }
                 /* split the edge; the split node takes nxt's sibling slot */
-                int32_t split = new_node(t, es[nxt], es[nxt] + active_len, first);
+                int32_t split = new_internal(t, start, start + active_len, first);
                 ns[split] = ns[nxt];
                 if (active_node == 0)
                     t->root[first] = split;
-                else if (prev < 0)
+                else if (prev == 0)
                     fc[active_node] = split;
                 else
                     ns[prev] = split;
-                es[nxt] += active_len;
-                fb[nxt] = d[es[nxt]];
-                int32_t leaf = new_node(t, pos, -1, c_pos);
-                if (fb[nxt] < c_pos) {
+                es[nxt] = start + active_len;
+                unsigned char nb = d[start + active_len];
+                fb[nxt] = nb;
+                int32_t leaf = new_leaf(t, pos, c_pos);
+                if (nb < c_pos) {
                     fc[split] = nxt;
                     ns[nxt] = leaf;
                 }
                 else {
                     fc[split] = leaf;
                     ns[leaf] = nxt;
-                    ns[nxt] = -1;
+                    ns[nxt] = 0;
                 }
-                if (last_internal >= 0)
+                if (last_internal != 0)
                     sl[last_internal] = split;
                 last_internal = split;
             }
@@ -178,43 +209,47 @@ ukkonen(TreeKernel *t)
 }
 
 /* Depth-first pass over the subtree of root child c, children in byte
- * order. hi[v] holds v's parent while v is open and its interval end once
- * closed, so the pass needs no stack. */
+ * order, appending its leaves to the suffix array from *counter on. hi[v]
+ * holds v's parent while v is open and its interval end once closed, so
+ * the pass needs no stack. */
 static void
 number_subtree(TreeKernel *t, int32_t c, int32_t *counter)
 {
-    int32_t *es = t->es, *ee = t->ee, *fc = t->fc, *ns = t->ns;
-    int32_t *depth = t->depth, *lo = t->lo, *hi = t->hi;
-    int32_t n = (int32_t)t->n;
-    int32_t v = c;
+    const int32_t *es = t->es, *ee = t->ee, *fc = t->fc, *ns = t->ns;
+    int32_t *depth = t->depth, *lo = t->lo, *hi = t->hi, *leaves = t->leaves;
+    int32_t k = *counter;
+    if (c < 0) {
+        leaves[k++] = ~c;
+        *counter = k;
+        return;
+    }
+    int32_t v = c, w;
     hi[c] = 0;
     for (;;) {
-        int32_t p = hi[v];
-        if (ee[v] == -1)
-            ee[v] = n;
-        depth[v] = depth[p] + ee[v] - es[v];
-        lo[v] = *counter;
-        if (fc[v] >= 0) {
-            hi[fc[v]] = v;
-            v = fc[v];
-            continue;
-        }
-        t->leaves[(*counter)++] = n - depth[v];
-        if (depth[v] > t->max_depth)
-            t->max_depth = depth[v];
-        /* close v, then every ancestor whose children are all done */
+        /* open v */
+        depth[v] = depth[hi[v]] + ee[v] - es[v];
+        lo[v] = k;
+        w = fc[v];
         for (;;) {
-            p = hi[v];
-            hi[v] = *counter;
-            if (p == 0)
-                return;
-            if (ns[v] >= 0) {
-                hi[ns[v]] = p;
-                v = ns[v];
-                break;
+            /* pass the leaves before the next internal child w */
+            while (w < 0) {
+                leaves[k++] = ~w;
+                w = ns[w];
             }
+            if (w != 0)
+                break;
+            /* v has no children left: close it, go on with its sibling */
+            int32_t p = hi[v];
+            hi[v] = k;
+            if (p == 0) {
+                *counter = k;
+                return;
+            }
+            w = ns[v];
             v = p;
         }
+        hi[w] = v;
+        v = w;
     }
 }
 
@@ -228,11 +263,10 @@ TreeKernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!:TreeKernel", kwlist, &PyBytes_Type, &data))
         return NULL;
     Py_ssize_t n = PyBytes_GET_SIZE(data);
-    /* a tree has at most 2n + 1 nodes, and every id must fit in int32 */
-    if (n > (INT32_MAX - 1) / 2) {
+    if (n > STRSEARCH_MAX_TEXT) {
         PyErr_Format(PyExc_ValueError,
-                     "text of %zd bytes is too long for a suffix tree (at most %d bytes)",
-                     n, (INT32_MAX - 1) / 2);
+                     "text of %zd bytes is too long for a suffix tree (at most %zd bytes)",
+                     n, (Py_ssize_t)STRSEARCH_MAX_TEXT);
         return NULL;
     }
     TreeKernel *t = (TreeKernel *)type->tp_alloc(type, 0);
@@ -242,32 +276,36 @@ TreeKernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     t->text = data;
     t->d = (const unsigned char *)PyBytes_AS_STRING(data);
     t->n = n;
-    Py_ssize_t cap = 2 * n + 1;
-    t->es = PyMem_New(int32_t, cap);
+    /* at most n leaves, and at most one internal node per leaf (the root
+     * included); pages past the nodes actually made are never touched */
+    Py_ssize_t cap = n + 1;
+    t->cap = cap;
+    int32_t *es = PyMem_New(int32_t, 2 * cap), *ns = PyMem_New(int32_t, 2 * cap);
+    uint8_t *fb = PyMem_New(uint8_t, 2 * cap);
+    t->es = es ? es + cap : NULL;
+    t->ns = ns ? ns + cap : NULL;
+    t->fb = fb ? fb + cap : NULL;
     t->ee = PyMem_New(int32_t, cap);
     t->sl = PyMem_New(int32_t, cap);
     t->fc = PyMem_New(int32_t, cap);
-    t->ns = PyMem_New(int32_t, cap);
-    t->fb = PyMem_New(uint8_t, cap);
-    if (!t->es || !t->ee || !t->sl || !t->fc || !t->ns || !t->fb) {
+    if (!es || !ns || !fb || !t->ee || !t->sl || !t->fc) {
         Py_DECREF(t);
         return PyErr_NoMemory();
     }
-    for (int b = 0; b < 256; b++)
-        t->root[b] = -1;
-    new_node(t, 0, 0, 0);
+    new_internal(t, 0, 0, 0);
+    t->n_nodes = 1;
     return (PyObject *)t;
 }
 
 static void
 TreeKernel_dealloc(TreeKernel *t)
 {
-    PyMem_Free(t->es);
+    PyMem_Free(t->es ? t->es - t->cap : NULL);
+    PyMem_Free(t->ns ? t->ns - t->cap : NULL);
+    PyMem_Free(t->fb ? t->fb - t->cap : NULL);
     PyMem_Free(t->ee);
     PyMem_Free(t->sl);
     PyMem_Free(t->fc);
-    PyMem_Free(t->ns);
-    PyMem_Free(t->fb);
     PyMem_Free(t->depth);
     PyMem_Free(t->lo);
     PyMem_Free(t->hi);
@@ -289,7 +327,9 @@ TreeKernel_build(TreeKernel *t, PyObject *args, PyObject *kwds)
         return NULL;
     }
     t->built = 1;
-    if (ukkonen(t) != 0 && !allow_implicit) {
+    Py_ssize_t pending = ukkonen(t);
+    t->n_nodes = t->n_internal + t->n_built_leaves;
+    if (pending != 0 && !allow_implicit) {
         PyErr_SetString(PyExc_RuntimeError,
                         "construction left pending suffixes; text lacks a unique terminator");
         return NULL;
@@ -304,11 +344,11 @@ TreeKernel_finalize(TreeKernel *t, PyObject *Py_UNUSED(ignored))
         PyErr_SetString(PyExc_RuntimeError, "kernel already finalized");
         return NULL;
     }
-    Py_ssize_t nodes = t->n_nodes;
-    t->depth = PyMem_New(int32_t, nodes);
-    t->lo = PyMem_New(int32_t, nodes);
-    t->hi = PyMem_New(int32_t, nodes);
-    t->leaves = PyMem_New(int32_t, t->n + 1);
+    Py_ssize_t internal = t->n_internal;
+    t->depth = PyMem_New(int32_t, internal);
+    t->lo = PyMem_New(int32_t, internal);
+    t->hi = PyMem_New(int32_t, internal);
+    t->leaves = PyMem_New(int32_t, t->n_built_leaves + 1);
     if (!t->depth || !t->lo || !t->hi || !t->leaves) {
         PyMem_Free(t->depth);
         PyMem_Free(t->lo);
@@ -321,11 +361,13 @@ TreeKernel_finalize(TreeKernel *t, PyObject *Py_UNUSED(ignored))
     t->depth[0] = 0;
     t->lo[0] = 0;
     for (int b = 0; b < 256; b++) {
-        if (t->root[b] >= 0)
+        if (t->root[b] != 0)
             number_subtree(t, t->root[b], &counter);
     }
     t->hi[0] = counter;
     t->n_leaves = counter;
+    /* the leaf of suffix 0 is the deepest node */
+    t->max_depth = counter > 0 ? t->n : 0;
     t->finalized = 1;
     Py_RETURN_NONE;
 }
@@ -340,9 +382,15 @@ require_finalized(const TreeKernel *t)
     return 0;
 }
 
-/* Walk a pattern from the root; sets *node (-1 on a mismatch), *off and
- * *comps as _pykernel.TreeKernel.descend does. Returns -1 with an
- * exception set on a bad argument. */
+static Py_ssize_t
+public_id(const TreeKernel *t, int32_t r)
+{
+    return r >= 0 ? r : t->n_internal + ~r;
+}
+
+/* Walk a pattern from the root; sets *node to the reference of the locus
+ * (0 on a mismatch), *off and *comps as _pykernel.TreeKernel.descend does.
+ * Returns -1 with an exception set on a bad argument. */
 static int
 walk(TreeKernel *t, PyObject *arg, int32_t *node, Py_ssize_t *off, Py_ssize_t *comps, Py_ssize_t *m_out)
 {
@@ -362,17 +410,15 @@ walk(TreeKernel *t, PyObject *arg, int32_t *node, Py_ssize_t *off, Py_ssize_t *c
     const unsigned char *d = t->d;
     int32_t v = 0;
     Py_ssize_t i = 0, c = 0;
-    *node = -1;
+    *node = 0;
     *off = -1;
     for (;;) {
-        if (is_leaf(t, v))
-            break;
         c++;
         int32_t w = child(t, v, pat[i]);
-        if (w < 0)
+        if (w == 0)
             break;
         i++;
-        Py_ssize_t start = t->es[w], end = t->ee[w], k = start + 1;
+        Py_ssize_t start = t->es[w], end = w > 0 ? t->ee[w] : t->n, k = start + 1;
         while (k < end && i < m) {
             c++;
             if (d[k] != pat[i])
@@ -385,6 +431,8 @@ walk(TreeKernel *t, PyObject *arg, int32_t *node, Py_ssize_t *off, Py_ssize_t *c
             *off = k - start;
             break;
         }
+        if (w < 0)
+            break;  /* the pattern runs past the end of a leaf */
         v = w;
     }
 done:
@@ -399,7 +447,7 @@ TreeKernel_descend(TreeKernel *t, PyObject *arg)
     Py_ssize_t off, comps, m;
     if (walk(t, arg, &node, &off, &comps, &m) < 0)
         return NULL;
-    return Py_BuildValue("(inn)", (int)node, off, comps);
+    return Py_BuildValue("(nnn)", node == 0 ? (Py_ssize_t)-1 : public_id(t, node), off, comps);
 }
 
 static PyObject *
@@ -409,14 +457,52 @@ TreeKernel_count(TreeKernel *t, PyObject *arg)
     Py_ssize_t off, comps, m;
     if (walk(t, arg, &node, &off, &comps, &m) < 0)
         return NULL;
-    return PyLong_FromLong(node < 0 ? 0 : (long)(t->hi[node] - t->lo[node]));
+    if (node == 0)
+        return PyLong_FromLong(0);
+    return PyLong_FromLong(node < 0 ? 1 : t->hi[node] - t->lo[node]);
 }
 
-static int
-cmp_int32(const void *a, const void *b)
+/* Offsets up to this many are sorted by insertion, more by radix. */
+#define INSERTION_SORT_MAX 64
+#define RADIX_BITS 11
+#define RADIX (1 << RADIX_BITS)
+
+/* Sort k offsets in a, none above max_value, ascending. tmp has room for k
+ * more; returns whichever of a and tmp holds the result. */
+static int32_t *
+sort_offsets(int32_t *a, int32_t *tmp, Py_ssize_t k, int32_t max_value)
 {
-    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
+    if (k <= INSERTION_SORT_MAX) {
+        for (Py_ssize_t i = 1; i < k; i++) {
+            int32_t x = a[i];
+            Py_ssize_t j = i;
+            for (; j > 0 && a[j - 1] > x; j--)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+        return a;
+    }
+    /* least significant digit first; each pass is stable */
+    uint32_t count[RADIX];
+    for (int shift = 0; shift < 31 && (shift == 0 || (max_value >> shift) != 0); shift += RADIX_BITS) {
+        memset(count, 0, sizeof count);
+        for (Py_ssize_t j = 0; j < k; j++)
+            count[(a[j] >> shift) & (RADIX - 1)]++;
+        if (count[(a[0] >> shift) & (RADIX - 1)] == (uint32_t)k)
+            continue;  /* every offset has the same digit here */
+        uint32_t sum = 0;
+        for (int b = 0; b < RADIX; b++) {
+            uint32_t c = count[b];
+            count[b] = sum;
+            sum += c;
+        }
+        for (Py_ssize_t j = 0; j < k; j++)
+            tmp[count[(a[j] >> shift) & (RADIX - 1)]++] = a[j];
+        int32_t *swap = a;
+        a = tmp;
+        tmp = swap;
+    }
+    return a;
 }
 
 static PyObject *
@@ -426,25 +512,31 @@ TreeKernel_collect(TreeKernel *t, PyObject *arg)
     Py_ssize_t off, comps, m;
     if (walk(t, arg, &node, &off, &comps, &m) < 0)
         return NULL;
-    if (node < 0)
+    if (node == 0)
         return PyList_New(0);
-    Py_ssize_t lo = t->lo[node], k = t->hi[node] - lo;
-    int32_t *buf = PyMem_New(int32_t, k);
+    int32_t leaf = ~node;
+    const int32_t *src = &leaf;
+    Py_ssize_t k = 1;
+    if (node > 0) {
+        src = t->leaves + t->lo[node];
+        k = t->hi[node] - t->lo[node];
+    }
+    int32_t *buf = PyMem_New(int32_t, 2 * k);
     if (buf == NULL)
         return PyErr_NoMemory();
     Py_ssize_t limit = t->n - m;  /* an occurrence must fit inside the text */
     for (Py_ssize_t j = 0; j < k; j++) {
-        buf[j] = t->leaves[lo + j];
+        buf[j] = src[j];
         if (buf[j] > limit) {
             PyMem_Free(buf);
             PyErr_SetString(PyExc_RuntimeError, "leaf below the pattern locus maps past the text");
             return NULL;
         }
     }
-    qsort(buf, (size_t)k, sizeof(int32_t), cmp_int32);
+    const int32_t *sorted = sort_offsets(buf, buf + k, k, (int32_t)limit);
     PyObject *out = PyList_New(k);
     for (Py_ssize_t j = 0; out != NULL && j < k; j++) {
-        PyObject *x = PyLong_FromLong(buf[j]);
+        PyObject *x = PyLong_FromLong(sorted[j]);
         if (x == NULL)
             Py_CLEAR(out);
         else
@@ -456,9 +548,10 @@ TreeKernel_collect(TreeKernel *t, PyObject *arg)
 
 /* ---- introspection ------------------------------------------------------ */
 
-/* The node id arg names, or -1 with IndexError (or TypeError) set. */
-static int32_t
-node_arg(const TreeKernel *t, PyObject *arg)
+/* Sets *ref to the reference for the public node id arg (0 for the root);
+ * returns -1 with IndexError (or TypeError) set if arg names no node. */
+static int
+node_arg(const TreeKernel *t, PyObject *arg, int32_t *ref)
 {
     Py_ssize_t v = PyNumber_AsSsize_t(arg, PyExc_IndexError);
     if (v == -1 && PyErr_Occurred())
@@ -467,32 +560,32 @@ node_arg(const TreeKernel *t, PyObject *arg)
         PyErr_Format(PyExc_IndexError, "node id %zd out of range [0, %zd)", v, t->n_nodes);
         return -1;
     }
-    return (int32_t)v;
+    *ref = v < t->n_internal ? (int32_t)v : ~(int32_t)(v - t->n_internal);
+    return 0;
 }
 
 /* As node_arg, for the answers finalize() fills in. */
-static int32_t
-finalized_node_arg(const TreeKernel *t, PyObject *arg)
+static int
+finalized_node_arg(const TreeKernel *t, PyObject *arg, int32_t *ref)
 {
-    int32_t v = node_arg(t, arg);
-    if (v < 0 || require_finalized(t) < 0)
+    if (node_arg(t, arg, ref) < 0 || require_finalized(t) < 0)
         return -1;
-    return v;
+    return 0;
 }
 
 static PyObject *
 TreeKernel_is_leaf(TreeKernel *t, PyObject *arg)
 {
-    int32_t v = node_arg(t, arg);
-    if (v < 0)
+    int32_t r;
+    if (node_arg(t, arg, &r) < 0)
         return NULL;
-    return PyBool_FromLong(is_leaf(t, v));
+    return PyBool_FromLong(r < 0);
 }
 
 static int
-append_child(PyObject *out, int b, int32_t w)
+append_child(PyObject *out, const TreeKernel *t, int b, int32_t w)
 {
-    PyObject *pair = Py_BuildValue("(ii)", b, (int)w);
+    PyObject *pair = Py_BuildValue("(in)", b, public_id(t, w));
     int rc = pair == NULL ? -1 : PyList_Append(out, pair);
     Py_XDECREF(pair);
     return rc;
@@ -501,20 +594,20 @@ append_child(PyObject *out, int b, int32_t w)
 static PyObject *
 TreeKernel_children_of(TreeKernel *t, PyObject *arg)
 {
-    int32_t v = node_arg(t, arg);
-    if (v < 0)
+    int32_t r;
+    if (node_arg(t, arg, &r) < 0)
         return NULL;
     PyObject *out = PyList_New(0);
     int rc = out == NULL ? -1 : 0;
-    if (v == 0) {
+    if (r == 0) {
         for (int b = 0; rc == 0 && b < 256; b++) {
-            if (t->root[b] >= 0)
-                rc = append_child(out, b, t->root[b]);
+            if (t->root[b] != 0)
+                rc = append_child(out, t, b, t->root[b]);
         }
     }
-    else {
-        for (int32_t w = t->fc[v]; rc == 0 && w >= 0; w = t->ns[w])
-            rc = append_child(out, t->fb[w], w);
+    else if (r > 0) {
+        for (int32_t w = t->fc[r]; rc == 0 && w != 0; w = t->ns[w])
+            rc = append_child(out, t, t->fb[w], w);
     }
     if (rc < 0)
         Py_CLEAR(out);
@@ -524,53 +617,55 @@ TreeKernel_children_of(TreeKernel *t, PyObject *arg)
 static PyObject *
 TreeKernel_edge_span(TreeKernel *t, PyObject *arg)
 {
-    int32_t v = node_arg(t, arg);
-    if (v < 0)
+    int32_t r;
+    if (node_arg(t, arg, &r) < 0)
         return NULL;
-    return Py_BuildValue("(ii)", (int)t->es[v], (int)t->ee[v]);
+    if (r >= 0)
+        return Py_BuildValue("(ii)", (int)t->es[r], (int)t->ee[r]);
+    return Py_BuildValue("(in)", (int)t->es[r], t->finalized ? t->n : (Py_ssize_t)-1);
 }
 
 static PyObject *
 TreeKernel_suffix_link_of(TreeKernel *t, PyObject *arg)
 {
-    int32_t v = node_arg(t, arg);
-    if (v < 0)
+    int32_t r;
+    if (node_arg(t, arg, &r) < 0)
         return NULL;
-    return PyLong_FromLong(t->sl[v]);
+    return PyLong_FromLong(r >= 0 ? t->sl[r] : 0);
 }
 
 static PyObject *
 TreeKernel_suffix_index_of(TreeKernel *t, PyObject *arg)
 {
-    int32_t v = finalized_node_arg(t, arg);
-    if (v < 0)
+    int32_t r;
+    if (finalized_node_arg(t, arg, &r) < 0)
         return NULL;
-    return PyLong_FromLong(is_leaf(t, v) ? (long)(t->n - t->depth[v]) : -1L);
+    return PyLong_FromLong(r < 0 ? ~r : -1);
 }
 
 static PyObject *
 TreeKernel_leaf_count_of(TreeKernel *t, PyObject *arg)
 {
-    int32_t v = finalized_node_arg(t, arg);
-    if (v < 0)
+    int32_t r;
+    if (finalized_node_arg(t, arg, &r) < 0)
         return NULL;
-    return PyLong_FromLong(t->hi[v] - t->lo[v]);
+    return PyLong_FromLong(r < 0 ? 1 : t->hi[r] - t->lo[r]);
 }
 
 static PyObject *
 TreeKernel_path_depth_of(TreeKernel *t, PyObject *arg)
 {
-    int32_t v = finalized_node_arg(t, arg);
-    if (v < 0)
+    int32_t r;
+    if (finalized_node_arg(t, arg, &r) < 0)
         return NULL;
-    return PyLong_FromLong(t->depth[v]);
+    return PyLong_FromSsize_t(r < 0 ? t->n - ~r : t->depth[r]);
 }
 
 static PyMethodDef TreeKernel_methods[] = {
     {"build", (PyCFunction)(void (*)(void))TreeKernel_build, METH_VARARGS | METH_KEYWORDS,
      "build(allow_implicit=False): one Ukkonen pass over the text."},
     {"finalize", (PyCFunction)TreeKernel_finalize, METH_NOARGS,
-     "Freeze leaf ends; fill path depths, the sorted leaf array and leaf intervals."},
+     "Freeze leaf ends; fill path depths, the suffix array and leaf intervals."},
     {"descend", (PyCFunction)TreeKernel_descend, METH_O,
      "descend(pat) -> (node, offset_within_edge, comparisons); node is -1 on a mismatch."},
     {"count", (PyCFunction)TreeKernel_count, METH_O, "Occurrences of pat in the text."},
@@ -625,7 +720,11 @@ PyInit__tree(void)
     PyObject *m = PyModule_Create(&tree_module);
     if (m == NULL)
         return NULL;
+    /* bytes per node once finalized: es, ns, fb, ee, sl, fc, depth, lo and
+     * hi for an internal node; es, ns, fb and a suffix-array entry for a leaf */
     if (PyModule_AddStringConstant(m, "NAME", "c") < 0 ||
+        PyModule_AddIntConstant(m, "INTERNAL_NODE_BYTES", 8 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
+        PyModule_AddIntConstant(m, "LEAF_NODE_BYTES", 3 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
         PyModule_AddObjectRef(m, "TreeKernel", (PyObject *)&TreeKernelType) < 0) {
         Py_DECREF(m);
         return NULL;

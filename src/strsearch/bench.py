@@ -2,10 +2,11 @@
 
 Timing uses the monotonic nanosecond clock, with index build time recorded
 separately from query time so either reading of "search time" can be
-reconstructed downstream. Memory is reported as deterministic logical bytes
-(node count times a documented per-node accounting constant), never process
-RSS. Every trial cross-checks all algorithms' match sets and aborts loudly on
-any disagreement; a mismatch is a correctness failure, not a data point.
+reconstructed downstream. Memory is reported as deterministic logical bytes,
+never process RSS: for the tree, the bytes its kernel's node arrays hold; for
+the trie, node count times a documented per-node accounting constant. Every
+trial cross-checks all algorithms' match sets and aborts loudly on any
+disagreement; a mismatch is a correctness failure, not a data point.
 
 Benchmarks run strictly sequentially on one thread to keep timings honest.
 """
@@ -21,7 +22,7 @@ from .baselines import bm_find_all, kmp_find_all, naive_find_all, rk_find_all
 from .core import Pattern, Text, verify_occurrences
 from .datagen import ASCII_PRINTABLE, DNA_UNIFORM, GenSpec, SplitMix64, generate_text, sample_patterns
 from .errors import BadRange, InvalidConfig, IoFailure, ResultMismatch
-from .suffix_tree import TREE_NODE_BYTES, build_suffix_tree
+from .suffix_tree import build_suffix_tree
 from .suffix_trie import TRIE_NODE_BYTES, build_suffix_trie
 
 ALL_ALGORITHMS = ("naive", "kmp", "rk", "bm", "strie", "stree")
@@ -115,7 +116,7 @@ def _run_stree(text: Text, pattern: Pattern, queries: int):
     for _ in range(queries):
         result = index.find_all(pattern)
     query_ns = time.perf_counter_ns() - t0
-    return result, build_ns, query_ns, index.node_count, index.node_count * TREE_NODE_BYTES
+    return result, build_ns, query_ns, index.node_count, index.stats().logical_bytes
 
 
 _RUNNERS = {

@@ -8,11 +8,14 @@ coordinates into the shared text, never copied substrings.
 
 A build is a two-step affair: construction over the sentinel-terminated text,
 then finalize(), a single depth-first pass in byte order that freezes the
-open leaf ends, lists the leaves' suffix starts in lexicographic order, and
-gives every node its path depth and the interval of that list its subtree
-covers. Queries are only legal on a finalized index: counting an occurrence
-total is then a descent plus one interval length, and enumeration a sorted
-copy of the interval.
+open leaf ends, lists the leaves' suffix starts in lexicographic order (the
+suffix array), and gives every internal node its path depth and the interval
+of that list its subtree covers. Queries are only legal on a finalized
+index: counting an occurrence total is then a descent plus one interval
+length, and enumeration a sorted copy of the interval.
+
+Node ids: internal nodes take 0..I-1 in creation order, the root at 0, and
+the leaf of suffix j takes I + j.
 
 The tree itself lives in the C kernel ``strsearch._tree``, built by
 ``python setup.py build_ext --inplace``.
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 try:
-    from ._tree import TreeKernel
+    from ._tree import INTERNAL_NODE_BYTES, LEAF_NODE_BYTES, TreeKernel
 except ImportError as exc:
     raise ImportError(
         "strsearch._tree is not built; run `python setup.py build_ext --inplace` "
@@ -35,11 +38,6 @@ except ImportError as exc:
 from .core import Counters, Pattern, Text, as_pattern, make_text
 from .errors import AlreadyFinalized, MissingSentinel, NotFinalized, SentinelCollision
 from .suffix_trie import IndexStats
-
-# per-node accounting size for the logical memory report: six 8-byte fields
-# (edge span, suffix link, suffix index, leaf count, path depth) plus a
-# 16-byte child-slot allowance
-TREE_NODE_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -137,13 +135,18 @@ class SuffixTreeIndex:
         return self._k.build_steps
 
     def stats(self) -> IndexStats:
+        """Shape of the finalized tree; ``logical_bytes`` is what the C
+        kernel's node arrays hold for it, the root and the finalize arrays
+        included, from the kernel's own per-node sizes."""
         self._require_finalized()
+        internal = self.internal_count
+        leaves = self.leaf_count_total
         return IndexStats(
             node_count=self.node_count,
-            internal_count=self.internal_count,
-            leaf_count=self.leaf_count_total,
+            internal_count=internal,
+            leaf_count=leaves,
             max_depth=self._k.max_depth,
-            logical_bytes=self.node_count * TREE_NODE_BYTES,
+            logical_bytes=(internal + 1) * INTERNAL_NODE_BYTES + leaves * LEAF_NODE_BYTES,
         )
 
     # -- introspection (used by invariant checks and tooling) ----------------

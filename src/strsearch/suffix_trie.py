@@ -16,7 +16,6 @@ is the convention under which "mississippi" yields 66 nodes.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 
 from .core import Text, Pattern, as_pattern
@@ -29,14 +28,6 @@ DEFAULT_BODY_CAP = 100_000
 TRIE_NODE_BYTES = 40
 
 
-class TrieNode:
-    __slots__ = ("children", "suffix_start")
-
-    def __init__(self) -> None:
-        self.children: dict[int, TrieNode] = {}
-        self.suffix_start = -1
-
-
 @dataclass(frozen=True)
 class IndexStats:
     node_count: int
@@ -47,45 +38,78 @@ class IndexStats:
 
 
 class SuffixTrieIndex:
-    """Immutable after construction; safe for concurrent reads."""
+    """Immutable after construction; safe for concurrent reads.
 
-    def __init__(self, root: TrieNode, text: Text, node_count: int):
-        self.root = root
+    Nodes are ints, the root 0, and there are no node objects. ``children``
+    maps ``(node << 8) | byte`` to the child on that byte. Inserting a
+    suffix adds one chain of fresh nodes, numbered consecutively and ending
+    in the suffix's leaf, hung below the node where its walk left the
+    existing trie. ``branches`` maps that node to the first nodes of the
+    chains hung below it, and ``leaf_suffix`` each leaf to its suffix start.
+    The children of a node are thus the chain heads in ``branches``, plus the
+    next node up when the node is neither the root nor a leaf.
+    """
+
+    def __init__(
+        self,
+        text: Text,
+        children: dict[int, int],
+        branches: dict[int, list[int]],
+        leaf_suffix: dict[int, int],
+        node_count: int,
+    ):
         self.text = text
+        self.children = children
+        self.branches = branches
+        self.leaf_suffix = leaf_suffix
         self.node_count = node_count
+
+    def _kids(self, v: int) -> list[int]:
+        heads = self.branches.get(v, [])
+        if v == 0 or v in self.leaf_suffix:
+            return heads
+        return [v + 1, *heads]
 
     def find_all(self, pattern: Pattern | bytes | str) -> list[int]:
         """Descend one byte per pattern character, then gather the subtree."""
         pat = as_pattern(pattern)
         if self.text.sentinel in pat.data:
             raise SentinelCollision("pattern contains the text's sentinel byte")
-        node = self.root
+        children = self.children
+        node = 0
         for c in pat.data:
-            nxt = node.children.get(c)
-            if nxt is None:
+            node = children.get((node << 8) | c)
+            if node is None:
                 return []
-            node = nxt
+        # the pattern is not empty, so the root is not in this subtree
+        leaf_suffix = self.leaf_suffix
+        branches = self.branches
         out = []
         stack = [node]
         while stack:
             v = stack.pop()
-            if v.children:
-                stack.extend(v.children.values())
-            else:
-                out.append(v.suffix_start)
+            start = leaf_suffix.get(v)
+            if start is not None:
+                out.append(start)
+                continue
+            stack.append(v + 1)
+            heads = branches.get(v)
+            if heads is not None:
+                stack.extend(heads)
         out.sort()
         return out
 
     def stats(self) -> IndexStats:
         leaves = 0
         max_depth = 0
-        stack = [(self.root, 0)]
+        stack = [(0, 0)]
         while stack:
             v, d = stack.pop()
             if d > max_depth:
                 max_depth = d
-            if v.children:
-                stack.extend((w, d + 1) for w in v.children.values())
+            kids = self._kids(v)
+            if kids:
+                stack.extend((w, d + 1) for w in kids)
             else:
                 leaves += 1
         return IndexStats(
@@ -116,31 +140,26 @@ def build_suffix_trie(text: Text | bytes | str, body_cap: int = DEFAULT_BODY_CAP
 
     data = text.data
     n_total = len(data)
-    root = TrieNode()
+    children: dict[int, int] = {}
+    branches: dict[int, list[int]] = {}
+    leaf_suffix: dict[int, int] = {}
     count = 1
-    # bulk allocation of up to n^2/2 nodes; cyclic GC passes over the growing
-    # object graph dominate the build otherwise
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(n_total):
-            node = root
-            j = i
-            # walk the shared prefix, then grow a fresh chain for the rest
-            while j < n_total:
-                nxt = node.children.get(data[j])
-                if nxt is None:
-                    break
-                node = nxt
-                j += 1
-            while j < n_total:
-                nxt = TrieNode()
-                node.children[data[j]] = nxt
-                node = nxt
-                count += 1
-                j += 1
-            node.suffix_start = i
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return SuffixTrieIndex(root, text, count)
+    for i in range(n_total):
+        node = 0
+        j = i
+        # walk the shared prefix, then grow a fresh chain for the rest; the
+        # unique sentinel ends every suffix in a fresh leaf
+        while j < n_total:
+            nxt = children.get((node << 8) | data[j])
+            if nxt is None:
+                break
+            node = nxt
+            j += 1
+        branches.setdefault(node, []).append(count)
+        while j < n_total:
+            children[(node << 8) | data[j]] = count
+            node = count
+            count += 1
+            j += 1
+        leaf_suffix[node] = i
+    return SuffixTrieIndex(text, children, branches, leaf_suffix, count)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from strsearch import Counters, Pattern, build_suffix_tree, make_text
 from strsearch.errors import AlreadyFinalized, MissingSentinel, NotFinalized, SentinelCollision
-from strsearch.suffix_tree import TREE_NODE_BYTES
 
 from helpers import ALPHABETS, compact_trie, random_body, scan_oracle
 
@@ -165,6 +164,20 @@ def test_find_all_examples(tree_kernel):
     assert tree_for(b"banana").find_all(b"banana") == [0]
 
 
+def test_find_all_many_occurrences(tree_kernel):
+    # occurrence lists long enough to take collect's radix sort, with
+    # offsets of more than one 11-bit digit
+    rng = random.Random(907)
+    for symbols in (b"ab", b"ACGT"):
+        body = random_body(rng, symbols, 5000)
+        index = tree_for(body)
+        for m in (1, 2, 3, 4, 5):
+            pat = body[rng.randrange(len(body) - m) :][:m]
+            want = scan_oracle(body, pat)
+            assert index.find_all(pat) == want
+            assert index.count(pat) == len(want)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_queries_match_scan_oracle(data):
@@ -265,9 +278,30 @@ def test_stats_report(tree_kernel):
     assert stats.leaf_count == 12
     assert stats.internal_count == 6
     assert stats.max_depth == 12
-    assert stats.logical_bytes == 19 * TREE_NODE_BYTES
+    # 7 internal nodes (the root included) at 33 B, 12 leaves at 13 B
+    assert stats.logical_bytes == 7 * 33 + 12 * 13
     assert tree_for(b"a").stats().node_count == 3
     assert tree_for(b"abab").stats().leaf_count == 5
+
+
+def test_node_ids_internal_first_then_leaves_by_suffix(tree_kernel):
+    # internal nodes take ids 0..I-1, the root at 0; the leaf of suffix j
+    # takes I + j, also in an implicit tree over an unterminated text
+    rng = random.Random(606)
+    for _ in range(40):
+        body = random_body(rng, rng.choice([b"ab", b"ACGT"]), rng.randint(1, 120))
+        for data, implicit in ((body + b"\x00", False), (body, True)):
+            k = tree_kernel.TreeKernel(data)
+            k.build(implicit)
+            k.finalize()
+            internal = k.n_nodes - k.n_leaves
+            assert [k.is_leaf(v) for v in range(k.n_nodes)] == [False] * internal + [True] * k.n_leaves
+            for j in range(k.n_leaves):
+                assert k.suffix_index_of(internal + j) == j
+                assert k.path_depth_of(internal + j) == len(data) - j
+                assert k.leaf_count_of(internal + j) == 1
+            if not implicit:
+                assert k.n_leaves == len(data)
 
 
 INTROSPECTION = (
