@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _pykernel
-from .core import Counters, Pattern, Text, as_pattern, as_text
+from .core import SENTINEL, Counters, Pattern, Text, as_pattern, as_text
 from .errors import SentinelCollision
 
 RK_DEFAULT_BASE = 256
@@ -58,7 +58,7 @@ class BmTables:
 def _prep(text: Text | bytes | str, pattern: Pattern | bytes | str) -> tuple[bytes, bytes]:
     t = as_text(text)
     p = as_pattern(pattern)
-    if t.has_sentinel and t.sentinel in p.data:
+    if t.has_sentinel and SENTINEL in p.data:
         raise SentinelCollision("pattern contains the text's sentinel byte")
     return t.body, p.data
 

@@ -4,8 +4,8 @@ Timing uses the monotonic nanosecond clock, with index build time recorded
 separately from query time so either reading of "search time" can be
 reconstructed downstream. Memory is reported as deterministic logical bytes,
 never process RSS: for the tree, the bytes its kernel's node arrays hold; for
-the trie, node count times a documented per-node accounting constant. Every
-trial cross-checks all algorithms' match sets and aborts loudly on any
+the trie, node count times a measured per-node constant. Every trial
+cross-checks all algorithms' match sets and aborts loudly on any
 disagreement; a mismatch is a correctness failure, not a data point.
 
 Benchmarks run strictly sequentially on one thread to keep timings honest.

@@ -12,7 +12,7 @@ import sys
 
 from .baselines import bm_find_all, kmp_find_all, naive_find_all, rk_find_all
 from .bench import BenchConfig, run_accuracy_experiment, run_benchmark_matrix, write_csv
-from .core import SENTINEL, Pattern, Text, make_text
+from .core import SENTINEL, Pattern, Text
 from .datagen import (
     ASCII_PRINTABLE,
     DNA_UNIFORM,
@@ -29,7 +29,7 @@ from .errors import (
     StrSearchError,
 )
 from .suffix_tree import build_suffix_tree
-from .suffix_trie import DEFAULT_BODY_CAP, build_suffix_trie
+from .suffix_trie import build_suffix_trie
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -123,11 +123,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         matches = _MATCHERS[algo](text, pattern)
         count = len(matches)
     elif algo == "strie":
-        index = build_suffix_trie(make_text(text.body, append_sentinel=True), body_cap=args.trie_cap)
+        index = build_suffix_trie(text.body)
         matches = index.find_all(pattern)
         count = len(matches)
     else:
-        index = build_suffix_tree(make_text(text.body, append_sentinel=True))
+        index = build_suffix_tree(text.body)
         if args.count_only:
             matches = None
             count = index.count(pattern)
@@ -145,11 +145,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     text = _ingest_text(args)
     if text.body_len < 1:
         raise StrSearchError("text body is empty after ingestion")
-    wrapped = make_text(text.body, append_sentinel=True)
     if args.index == "strie":
-        stats = build_suffix_trie(wrapped, body_cap=args.trie_cap).stats()
+        stats = build_suffix_trie(text.body).stats()
     else:
-        stats = build_suffix_tree(wrapped).stats()
+        stats = build_suffix_tree(text.body).stats()
     print(f"node_count: {stats.node_count}")
     print(f"leaf_count: {stats.leaf_count}")
     print(f"internal_count: {stats.internal_count}")
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", help="pattern as a UTF-8 string")
     p.add_argument("--pattern-file", metavar="FILE", help="pattern as raw bytes from FILE")
     p.add_argument("--count-only", action="store_true", help="print only the occurrence count")
-    p.add_argument("--trie-cap", type=int, default=DEFAULT_BODY_CAP, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bench", help="run the timing matrix and emit CSV")
@@ -241,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="index structure report")
     _add_text_source(p)
     p.add_argument("--index", required=True, choices=("strie", "stree"))
-    p.add_argument("--trie-cap", type=int, default=DEFAULT_BODY_CAP,
-                   help="refuse trie bodies longer than this")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("gen", help="write a seeded random text")

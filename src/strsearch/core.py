@@ -4,35 +4,34 @@ All matching in this library is byte-exact and case-sensitive, and every
 matcher returns *all* overlapping occurrences as a strictly increasing list
 of 0-based start offsets (a match set). The sentinel byte used to terminate
 indexed text is NUL (0x00), which is outside printable text and outside the
-DNA alphabet.
+DNA alphabet; it is the only one, and not configurable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SentinelCollision
+from .errors import MissingSentinel, SentinelCollision
 
 SENTINEL = 0x00
 
 
 @dataclass(frozen=True)
 class Text:
-    """An immutable haystack, optionally terminated by a unique sentinel byte.
+    """An immutable haystack, optionally terminated by NUL (``SENTINEL``).
 
-    ``data`` holds the raw bytes including the sentinel when ``has_sentinel``
-    is set. Offsets are 0-based into the body.
+    ``data`` holds the raw bytes including the NUL when ``has_sentinel`` is
+    set, and then no other NUL. Offsets are 0-based into the body.
     """
 
     data: bytes
     has_sentinel: bool = False
-    sentinel: int = SENTINEL
 
     def __post_init__(self) -> None:
         if self.has_sentinel:
-            if not self.data or self.data[-1] != self.sentinel:
+            if not self.data or self.data[-1] != SENTINEL:
                 raise ValueError("sentinel-bearing text must end with the sentinel byte")
-            if self.sentinel in self.data[:-1]:
+            if self.data.find(SENTINEL, 0, -1) >= 0:
                 raise SentinelCollision("sentinel byte occurs inside the text body")
 
     @property
@@ -105,20 +104,29 @@ def as_pattern(value: Pattern | bytes | str) -> Pattern:
     return Pattern(bytes(value))
 
 
-def make_text(raw: bytes | str, append_sentinel: bool = False, sentinel: int = SENTINEL) -> Text:
-    """Wrap raw bytes as a Text, optionally appending the terminal sentinel.
+def make_text(raw: bytes | str, append_sentinel: bool = False) -> Text:
+    """Wrap raw bytes (str as UTF-8) as a Text, optionally appending NUL.
 
-    Raises SentinelCollision if the sentinel byte already occurs in ``raw``
-    and ``append_sentinel`` is set.
+    Raises SentinelCollision if ``append_sentinel`` is set and ``raw``
+    already holds a NUL.
     """
     if isinstance(raw, str):
         raw = raw.encode("utf-8")
-    raw = bytes(raw)
     if not append_sentinel:
-        return Text(raw)
-    if sentinel in raw:
-        raise SentinelCollision(f"input already contains sentinel byte {sentinel:#04x}")
-    return Text(raw + bytes([sentinel]), has_sentinel=True, sentinel=sentinel)
+        return Text(bytes(raw))
+    return Text(bytes(raw) + b"\0", has_sentinel=True)
+
+
+def index_text(text: Text | bytes | str, index: str) -> Text:
+    """The NUL-terminated, non-empty Text an index is built over; raw bytes
+    or str get NUL appended. ``index`` names the index in error messages."""
+    if not isinstance(text, Text):
+        text = make_text(text, append_sentinel=True)
+    if not text.has_sentinel:
+        raise MissingSentinel(f"{index} requires sentinel-terminated text")
+    if text.body_len < 1:
+        raise ValueError(f"{index} requires a non-empty body")
+    return text
 
 
 def gold_standard_matches(text: Text | bytes | str, pattern: Pattern | bytes | str) -> list[int]:

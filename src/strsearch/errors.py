@@ -22,7 +22,7 @@ class NotFinalized(StrSearchError):
 
 
 class TrieCapExceeded(StrSearchError):
-    """Text body exceeds the configured suffix-trie size cap."""
+    """Text body is longer than the suffix trie's fixed cap (``suffix_trie.BODY_CAP``)."""
 
 
 class InvalidWeights(StrSearchError):

@@ -35,8 +35,8 @@ except ImportError as exc:
         "in the source checkout (it needs a C compiler and the Python headers)"
     ) from exc
 
-from .core import Counters, Pattern, Text, as_pattern, make_text
-from .errors import AlreadyFinalized, MissingSentinel, NotFinalized, SentinelCollision
+from .core import SENTINEL, Counters, Pattern, Text, as_pattern, index_text
+from .errors import AlreadyFinalized, NotFinalized, SentinelCollision
 from .suffix_trie import IndexStats
 
 
@@ -77,14 +77,10 @@ class SuffixTreeIndex:
     def _query_bytes(self, pattern: Pattern | bytes | str) -> bytes:
         if not self._k.finalized:
             raise NotFinalized("finalize() the index before querying")
-        # exact bytes skip the Pattern wrapper; its one check is inlined
-        if type(pattern) is bytes:
-            if not pattern:
-                raise ValueError("empty pattern is not allowed")
-            pat = pattern
-        else:
-            pat = as_pattern(pattern).data
-        if self.text.sentinel in pat:
+        # exact bytes skip the Pattern wrapper: an empty one holds no NUL and
+        # gets the kernel's ValueError, as Pattern would raise it here
+        pat = pattern if type(pattern) is bytes else as_pattern(pattern).data
+        if SENTINEL in pat:
             raise SentinelCollision("pattern contains the text's sentinel byte")
         return pat
 
@@ -197,18 +193,13 @@ def build_suffix_tree(
     *,
     finalize: bool = True,
 ) -> SuffixTreeIndex:
-    """Build the suffix tree index for sentinel-terminated text.
+    """Build the suffix tree index for NUL-terminated text.
 
-    Raw bytes or str arguments are wrapped with a sentinel appended; a Text
-    argument must already carry one. With ``finalize=False`` the caller gets
+    Raw bytes or str arguments are wrapped with NUL appended; a Text
+    argument must already carry it. With ``finalize=False`` the caller gets
     the raw constructed tree and must call finalize() before querying.
     """
-    if not isinstance(text, Text):
-        text = make_text(text, append_sentinel=True)
-    if not text.has_sentinel:
-        raise MissingSentinel("suffix tree requires sentinel-terminated text")
-    if text.body_len < 1:
-        raise ValueError("suffix tree requires a non-empty body")
+    text = index_text(text, "suffix tree")
     k = TreeKernel(text.data)
     k.build()
     index = SuffixTreeIndex(k, text)

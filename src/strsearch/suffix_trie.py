@@ -1,14 +1,16 @@
 """Uncompressed suffix trie, used for node-count comparison and as an oracle.
 
-One trie node per distinct non-empty substring of the sentinel-terminated
-text, plus the root, so ``node_count`` equals the distinct-substring count
-plus one. Because the sentinel is unique, every suffix (including the
-sentinel-only one) ends at its own leaf: exactly body_len + 1 leaves.
+One trie node per distinct non-empty substring of the NUL-terminated text,
+plus the root, so ``node_count`` equals the distinct-substring count plus
+one. Because the NUL is unique, every suffix (including the NUL-only one)
+ends at its own leaf: exactly body_len + 1 leaves.
 
 Construction is deliberately the naive per-suffix insertion. The trie exists
 for structural comparison against the compressed tree, not for speed, and the
-simple build keeps it trustworthy. Quadratic node growth makes long bodies
-expensive, so builds refuse bodies beyond a configurable cap.
+simple build keeps it trustworthy. Inserting suffix i walks or adds n - i
+nodes, so builds take quadratic time (and, without long repeats, memory: a
+random 4096-base body takes 8.4 million nodes, 0.8 GB and 8 s); bodies
+longer than ``BODY_CAP`` bytes are refused before any node is made.
 
 Counting convention: the root and sentinel-bearing nodes are included. This
 is the convention under which "mississippi" yields 66 nodes.
@@ -18,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Text, Pattern, as_pattern
-from .errors import MissingSentinel, SentinelCollision, TrieCapExceeded
+from .core import SENTINEL, Pattern, Text, as_pattern, index_text
+from .errors import SentinelCollision, TrieCapExceeded
 
-DEFAULT_BODY_CAP = 100_000
+BODY_CAP = 4096
 
-# per-node accounting size for the logical memory report: one child-map slot
-# (32) plus the stored suffix start (8)
-TRIE_NODE_BYTES = 40
+# bytes per node for the logical memory report, as tracemalloc measures it
+# (106-107) for 1000-byte bodies over 2, 4 and 255 symbols
+TRIE_NODE_BYTES = 106
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class SuffixTrieIndex:
     def find_all(self, pattern: Pattern | bytes | str) -> list[int]:
         """Descend one byte per pattern character, then gather the subtree."""
         pat = as_pattern(pattern)
-        if self.text.sentinel in pat.data:
+        if SENTINEL in pat.data:
             raise SentinelCollision("pattern contains the text's sentinel byte")
         children = self.children
         node = 0
@@ -121,22 +123,17 @@ class SuffixTrieIndex:
         )
 
 
-def build_suffix_trie(text: Text | bytes | str, body_cap: int = DEFAULT_BODY_CAP) -> SuffixTrieIndex:
-    """Insert every suffix of the sentinel-terminated text, one path each.
+def build_suffix_trie(text: Text | bytes | str) -> SuffixTrieIndex:
+    """Insert every suffix of the NUL-terminated text, one path each.
 
-    Accepts raw bytes or str for convenience, appending the sentinel; a Text
-    argument must already carry one.
+    Accepts raw bytes or str for convenience, appending NUL; a Text argument
+    must already carry it. Bodies longer than ``BODY_CAP`` raise
+    TrieCapExceeded.
     """
-    if not isinstance(text, Text):
-        from .core import make_text
-
-        text = make_text(text, append_sentinel=True)
-    if not text.has_sentinel:
-        raise MissingSentinel("suffix trie requires sentinel-terminated text")
-    if text.body_len < 1:
-        raise ValueError("suffix trie requires a non-empty body")
-    if text.body_len > body_cap:
-        raise TrieCapExceeded(f"body length {text.body_len} exceeds cap {body_cap}")
+    text = index_text(text, "suffix trie")
+    if text.body_len > BODY_CAP:
+        raise TrieCapExceeded(
+            f"body length {text.body_len} exceeds the suffix trie's cap of {BODY_CAP} bytes")
 
     data = text.data
     n_total = len(data)

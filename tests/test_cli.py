@@ -1,9 +1,13 @@
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from strsearch.suffix_trie import BODY_CAP
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -114,11 +118,36 @@ def test_stats_single_char(tmp_path):
     assert r.stdout.decode().splitlines()[0] == "node_count: 3"
 
 
-def test_stats_trie_cap_breach(tmp_path):
+def over_trie_cap(tmp_path):
+    """A random DNA file one byte longer than the suffix trie's cap."""
+    rng = random.Random(3)
     path = tmp_path / "big.txt"
-    path.write_bytes(b"ab" * 40)
-    r = run_cli("stats", "--text", str(path), "--index", "strie", "--trie-cap", "10")
-    assert r.returncode == 3
+    path.write_bytes(bytes(rng.choice(b"ACGT") for _ in range(BODY_CAP + 1)))
+    return str(path)
+
+
+def assert_trie_refused(*args):
+    t0 = time.perf_counter()
+    r = run_cli(*args)
+    # refused before building: the trie would take seconds and about 0.8 GB
+    assert time.perf_counter() - t0 < 1.0
+    assert r.returncode == 3, r.stderr
+    assert f"exceeds the suffix trie's cap of {BODY_CAP} bytes" in r.stderr.decode()
+
+
+def test_stats_trie_cap_breach(tmp_path):
+    path = over_trie_cap(tmp_path)
+    assert_trie_refused("stats", "--text", path, "--index", "strie")
+    assert_trie_refused("search", "--algo", "strie", "--text", path, "--pattern", "ACGT")
+    # the cap is not an option
+    for args in (("stats", "--index", "strie"), ("search", "--algo", "strie", "--pattern", "A")):
+        r = run_cli(*args, "--text", path, "--trie-cap", "10")
+        assert r.returncode == 2
+        assert b"unrecognized arguments: --trie-cap" in r.stderr
+
+
+def test_bench_trie_cap_breach():
+    assert_trie_refused("bench", "--algos", "strie", "--sizes", str(BODY_CAP + 1), "--seed", "1")
 
 
 def test_gen_deterministic(tmp_path):

@@ -72,7 +72,12 @@ source, out = sys.argv[1:3]
 setup(
     name="strsearch-guard",
     script_args=["build_ext", "-q", "--build-lib", out, "--build-temp", out + "/tmp"],
-    ext_modules=[Extension("strsearch._tree", [source], define_macros=[("STRSEARCH_MAX_TEXT", "64")])],
+    ext_modules=[Extension(
+        "strsearch._tree", [source],
+        define_macros=[("STRSEARCH_MAX_TEXT", "64")],
+        # the kernel compiles without warnings; keep it that way
+        extra_compile_args=["-Wall", "-Wextra", "-Werror"],
+    )],
 )
 """
 

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strsearch import build_suffix_trie, make_text
+from strsearch import build_suffix_trie, make_text, suffix_trie
 from strsearch.errors import MissingSentinel, SentinelCollision, TrieCapExceeded
 
 from helpers import distinct_substring_count, random_body, scan_oracle
@@ -62,7 +63,38 @@ def test_missing_sentinel():
         build_suffix_trie(make_text(b"abc"))
 
 
-def test_body_cap():
+def traced(fn, *args):
+    """(result or raised exception, bytes held after the call, peak bytes)"""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            result = exc
+        held, peak = tracemalloc.get_traced_memory()
+        return result, held - base, peak - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_body_cap(monkeypatch):
+    # one byte over the real cap: refused before any node exists (a trie of
+    # this body would take about 0.8 GB)
+    body = random_body(random.Random(11), b"ACGT", suffix_trie.BODY_CAP + 1)
+    refused, _held, peak = traced(build_suffix_trie, body)
+    assert isinstance(refused, TrieCapExceeded)
+    assert str(suffix_trie.BODY_CAP) in str(refused)
+    assert peak < 4 * len(body)
+    # the boundary itself, at a cap small enough to build
+    monkeypatch.setattr(suffix_trie, "BODY_CAP", 100)
     with pytest.raises(TrieCapExceeded):
-        build_suffix_trie(b"a" * 100, body_cap=99)
-    assert build_suffix_trie(b"a" * 100, body_cap=100).node_count == 202
+        build_suffix_trie(b"a" * 101)
+    assert build_suffix_trie(b"a" * 100).node_count == 202
+
+
+def test_logical_bytes_match_allocation():
+    body = random_body(random.Random(5), b"ACGT", 1000)
+    trie, held, _peak = traced(build_suffix_trie, body)
+    logical = trie.stats().logical_bytes
+    assert 0.8 * held <= logical <= 1.2 * held, (logical, held)
