@@ -18,7 +18,6 @@ from .suffix_tree import Locus, SuffixTreeIndex, build_suffix_tree
 from ._backend import active_backend
 from .baselines import (
     BmTables,
-    RollingHashParams,
     bm_build_tables,
     bm_find_all,
     build_lps,
@@ -72,7 +71,6 @@ __all__ = [
     "IndexStats",
     "Locus",
     "Pattern",
-    "RollingHashParams",
     "SplitMix64",
     "SuffixTreeIndex",
     "SuffixTrieIndex",

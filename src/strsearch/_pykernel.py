@@ -30,11 +30,8 @@ def naive_search(text: bytes, pat: bytes, counters=None) -> list[int]:
     out = []
     comps = 0
     aligns = 0
-    trace = counters.alignment_trace if counters is not None else None
     for i in range(n - m + 1):
         aligns += 1
-        if trace is not None:
-            trace.append(i)
         j = 0
         while j < m:
             comps += 1
@@ -77,13 +74,8 @@ def kmp_search(text: bytes, pat: bytes, counters=None) -> list[int]:
         return out
     lps = lps_table(pat)
     comps = 0
-    regress = 0
-    last_i = -1
     j = 0
     for i in range(n):
-        if i < last_i:
-            regress += 1
-        last_i = i
         c = text[i]
         while True:
             comps += 1
@@ -98,7 +90,6 @@ def kmp_search(text: bytes, pat: bytes, counters=None) -> list[int]:
             j = lps[j - 1]
     if counters is not None:
         counters.comparisons += comps
-        counters.cursor_regressions += regress
     return out
 
 
@@ -122,11 +113,8 @@ def rk_search(text: bytes, pat: bytes, base: int, mod: int, counters=None) -> li
     h = poly_hash(text[:m], base, mod)
     hits = 0
     comps = 0
-    track = counters.window_hashes if counters is not None else None
     i = 0
     while True:
-        if track is not None:
-            track.append(h)
         if h == target:
             hits += 1
             j = 0
@@ -212,12 +200,9 @@ def bm_search(text: bytes, pat: bytes, counters=None) -> list[int]:
     gs = bm_good_suffix(pat)
     comps = 0
     aligns = 0
-    trace = counters.alignment_trace if counters is not None else None
     s = 0
     while s <= n - m:
         aligns += 1
-        if trace is not None:
-            trace.append(s)
         j = m - 1
         while j >= 0:
             comps += 1

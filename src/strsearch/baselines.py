@@ -1,9 +1,9 @@
 """Classical single-pattern matchers: naive, KMP, Rabin-Karp, Boyer-Moore.
 
 All four return the same match set as the naive scan (all overlapping
-occurrences, ascending). Pass a Counters object to collect per-call
-instrumentation: byte comparisons, alignments visited, hash hits, and the
-KMP cursor-regression count.
+occurrences, ascending) and takes ``(text, pattern, counters=None)``. Pass
+a Counters object to collect per-call instrumentation: byte comparisons,
+alignments visited and hash hits.
 
 The naive scan doubles as the in-library reference; verification against the
 runtime-independent gold standard lives in strsearch.core.
@@ -17,29 +17,12 @@ from . import _pykernel
 from .core import SENTINEL, Counters, Pattern, Text, as_pattern, as_text
 from .errors import SentinelCollision
 
-RK_DEFAULT_BASE = 256
-RK_DEFAULT_MODULUS = 1_000_000_007
-
-
-@dataclass(frozen=True)
-class RollingHashParams:
-    """Base and modulus of the polynomial rolling hash.
-
-    Defaults follow the usual choice (base 256 over the byte alphabet, a
-    large prime modulus). Small or non-prime moduli are accepted: they only
-    raise the collision rate, and every hash hit is verified by direct
-    comparison anyway. The modulus must stay below 2**31 so every
-    intermediate of the rolling update fits in 64-bit arithmetic.
-    """
-
-    base: int = RK_DEFAULT_BASE
-    modulus: int = RK_DEFAULT_MODULUS
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        if not (2 <= self.modulus < 2**31):
-            raise ValueError("modulus must be in [2, 2**31)")
+# The rolling hash is base 256 over bytes, modulo a prime below 2**31 so every
+# intermediate of the rolling update fits in 64-bit arithmetic. Each hash hit
+# is verified by direct comparison, so the modulus sets only the collision
+# rate, never the answer (Karp and Rabin, 1987).
+RK_BASE = 256
+RK_MODULUS = 1_000_000_007
 
 
 @dataclass(frozen=True)
@@ -89,25 +72,20 @@ def kmp_find_all(
     return _pykernel.kmp_search(body, pat, counters)
 
 
-def rk_hash(
-    data: Pattern | bytes | str,
-    params: RollingHashParams = RollingHashParams(),
-) -> int:
-    """Polynomial hash: (sum data[i] * base^(len-1-i)) mod modulus."""
-    raw = as_pattern(data).data
-    return _pykernel.poly_hash(raw, params.base, params.modulus)
+def rk_hash(data: Pattern | bytes | str) -> int:
+    """Polynomial hash: (sum data[i] * RK_BASE^(len-1-i)) mod RK_MODULUS."""
+    return _pykernel.poly_hash(as_pattern(data).data, RK_BASE, RK_MODULUS)
 
 
 def rk_find_all(
     text: Text | bytes | str,
     pattern: Pattern | bytes | str,
-    params: RollingHashParams = RollingHashParams(),
     counters: Counters | None = None,
 ) -> list[int]:
     """Rolling-hash scan with mandatory verification on every hash hit, so
     collisions cost time but never correctness."""
     body, pat = _prep(text, pattern)
-    return _pykernel.rk_search(body, pat, params.base, params.modulus, counters)
+    return _pykernel.rk_search(body, pat, RK_BASE, RK_MODULUS, counters)
 
 
 def bm_build_tables(pattern: Pattern | bytes | str) -> BmTables:

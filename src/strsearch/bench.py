@@ -17,15 +17,30 @@ import csv
 import io
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .baselines import bm_find_all, kmp_find_all, naive_find_all, rk_find_all
 from .core import Pattern, Text, verify_occurrences
 from .datagen import ASCII_PRINTABLE, DNA_UNIFORM, GenSpec, SplitMix64, generate_text, sample_patterns
 from .errors import BadRange, InvalidConfig, IoFailure, ResultMismatch
 from .suffix_tree import build_suffix_tree
-from .suffix_trie import TRIE_NODE_BYTES, build_suffix_trie
+from .suffix_trie import TRIE_NODE_BYTES, SuffixTrieIndex, build_suffix_trie, check_body_cap
 
-ALL_ALGORITHMS = ("naive", "kmp", "rk", "bm", "strie", "stree")
+# the single-pattern matchers, each called as (text, pattern)
+MATCHERS = {
+    "naive": naive_find_all,
+    "kmp": kmp_find_all,
+    "rk": rk_find_all,
+    "bm": bm_find_all,
+}
+
+# the index builders, each called with the text's body
+INDEXES = {
+    "strie": build_suffix_trie,
+    "stree": build_suffix_tree,
+}
+
+ALL_ALGORITHMS = (*MATCHERS, *INDEXES)
 
 # The default set mirrors the speed experiments: the four classical matchers
 # against the suffix tree. The suffix trie is opt-in because its node count
@@ -34,6 +49,8 @@ ALL_ALGORITHMS = ("naive", "kmp", "rk", "bm", "strie", "stree")
 DEFAULT_ALGORITHMS = ("naive", "kmp", "rk", "bm", "stree")
 
 DEFAULT_SIZES = (200, 500, 1000, 10000)
+
+ALPHABETS = {"dna": DNA_UNIFORM, "ascii": ASCII_PRINTABLE}
 
 CSV_HEADER = (
     "algorithm", "text_len", "pattern_len", "trial", "queries",
@@ -67,8 +84,11 @@ class BenchConfig:
             raise InvalidConfig("trials must be >= 1")
         if self.queries_per_trial < 1:
             raise InvalidConfig("queries_per_trial must be >= 1")
-        if self.alphabet not in _ALPHABETS:
+        if self.alphabet not in ALPHABETS:
             raise InvalidConfig(f"unknown alphabet {self.alphabet!r}")
+        # refused before any trie is built, not after the smaller sizes' ones
+        if "strie" in self.algorithms:
+            check_body_cap(max(self.sizes))
 
 
 @dataclass(frozen=True)
@@ -95,37 +115,25 @@ def _run_matcher(find_all, text: Text, pattern: Pattern, queries: int):
     return result, 0, query_ns, 0, 0
 
 
-def _run_strie(text: Text, pattern: Pattern, queries: int):
-    body = text.body
+def _run_index(build, text: Text, pattern: Pattern, queries: int):
     t0 = time.perf_counter_ns()
-    index = build_suffix_trie(body)
+    index = build(text.body)
     build_ns = time.perf_counter_ns() - t0
     t0 = time.perf_counter_ns()
     for _ in range(queries):
         result = index.find_all(pattern)
     query_ns = time.perf_counter_ns() - t0
-    return result, build_ns, query_ns, index.node_count, index.node_count * TRIE_NODE_BYTES
-
-
-def _run_stree(text: Text, pattern: Pattern, queries: int):
-    body = text.body
-    t0 = time.perf_counter_ns()
-    index = build_suffix_tree(body)
-    build_ns = time.perf_counter_ns() - t0
-    t0 = time.perf_counter_ns()
-    for _ in range(queries):
-        result = index.find_all(pattern)
-    query_ns = time.perf_counter_ns() - t0
-    return result, build_ns, query_ns, index.node_count, index.stats().logical_bytes
+    # the trie's stats() walks every node; its bytes are a per-node constant
+    if isinstance(index, SuffixTrieIndex):
+        logical = index.node_count * TRIE_NODE_BYTES
+    else:
+        logical = index.stats().logical_bytes
+    return result, build_ns, query_ns, index.node_count, logical
 
 
 _RUNNERS = {
-    "naive": lambda text, pat, q: _run_matcher(naive_find_all, text, pat, q),
-    "kmp": lambda text, pat, q: _run_matcher(kmp_find_all, text, pat, q),
-    "rk": lambda text, pat, q: _run_matcher(rk_find_all, text, pat, q),
-    "bm": lambda text, pat, q: _run_matcher(bm_find_all, text, pat, q),
-    "strie": _run_strie,
-    "stree": _run_stree,
+    **{name: partial(_run_matcher, fn) for name, fn in MATCHERS.items()},
+    **{name: partial(_run_index, build) for name, build in INDEXES.items()},
 }
 
 
@@ -138,7 +146,7 @@ def run_benchmark_matrix(config: BenchConfig, progress=None) -> list[BenchRecord
     per size.
     """
     rng = SplitMix64(config.seed)
-    alphabet = _ALPHABETS[config.alphabet]
+    alphabet = ALPHABETS[config.alphabet]
     records = []
     for size in config.sizes:
         trials_data = []

@@ -10,11 +10,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .baselines import bm_find_all, kmp_find_all, naive_find_all, rk_find_all
-from .bench import BenchConfig, run_accuracy_experiment, run_benchmark_matrix, write_csv
+from .bench import (
+    ALL_ALGORITHMS,
+    ALPHABETS,
+    DEFAULT_ALGORITHMS,
+    DEFAULT_SIZES,
+    INDEXES,
+    MATCHERS,
+    BenchConfig,
+    run_accuracy_experiment,
+    run_benchmark_matrix,
+    write_csv,
+)
 from .core import SENTINEL, Pattern, Text
 from .datagen import (
-    ASCII_PRINTABLE,
     DNA_UNIFORM,
     AlphabetSpec,
     GenSpec,
@@ -28,25 +37,17 @@ from .errors import (
     InvalidWeights,
     StrSearchError,
 )
-from .suffix_tree import build_suffix_tree
-from .suffix_trie import build_suffix_trie
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
-
-_MATCHERS = {
-    "naive": naive_find_all,
-    "kmp": kmp_find_all,
-    "rk": rk_find_all,
-    "bm": bm_find_all,
-}
 
 
 class UsageError(Exception):
     pass
 
 
-def _add_text_source(parser: argparse.ArgumentParser) -> None:
+def _add_text_source(parser: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
+    """The text options; the returned group takes further text sources."""
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--text", metavar="FILE", help="read the text from FILE")
     group.add_argument("--stdin", action="store_true", help="read the text from standard input")
@@ -59,6 +60,7 @@ def _add_text_source(parser: argparse.ArgumentParser) -> None:
         "--lowercase", action="store_true",
         help="case-fold the ingested text to lowercase before indexing",
     )
+    return group
 
 
 def _ingest_text(args: argparse.Namespace) -> Text:
@@ -119,22 +121,16 @@ def cmd_search(args: argparse.Namespace) -> int:
     pattern = _read_pattern(args)
     text = _ingest_text(args)
     algo = args.algo
-    if algo in _MATCHERS:
-        matches = _MATCHERS[algo](text, pattern)
+    if algo in MATCHERS:
+        matches = MATCHERS[algo](text, pattern)
         count = len(matches)
-    elif algo == "strie":
-        index = build_suffix_trie(text.body)
-        matches = index.find_all(pattern)
-        count = len(matches)
+    elif args.count_only and algo == "stree":
+        # only the tree counts without enumerating
+        matches, count = [], INDEXES[algo](text.body).count(pattern)
     else:
-        index = build_suffix_tree(text.body)
-        if args.count_only:
-            matches = None
-            count = index.count(pattern)
-        else:
-            matches = index.find_all(pattern)
-            count = len(matches)
-    if not args.count_only and matches is not None:
+        matches = INDEXES[algo](text.body).find_all(pattern)
+        count = len(matches)
+    if not args.count_only:
         for offset in matches:
             print(offset)
     print(f"count: {count}")
@@ -145,10 +141,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     text = _ingest_text(args)
     if text.body_len < 1:
         raise StrSearchError("text body is empty after ingestion")
-    if args.index == "strie":
-        stats = build_suffix_trie(text.body).stats()
-    else:
-        stats = build_suffix_tree(text.body).stats()
+    stats = INDEXES[args.index](text.body).stats()
     print(f"node_count: {stats.node_count}")
     print(f"leaf_count: {stats.leaf_count}")
     print(f"internal_count: {stats.internal_count}")
@@ -179,10 +172,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.freqs is not None:
         alphabet = _parse_freqs(args.freqs)
-    elif args.alphabet == "dna":
-        alphabet = DNA_UNIFORM
-    elif args.alphabet == "ascii":
-        alphabet = ASCII_PRINTABLE
+    elif args.alphabet in ALPHABETS:
+        alphabet = ALPHABETS[args.alphabet]
     else:
         raise UsageError("--alphabet custom requires --freqs")
     text = generate_text(GenSpec(alphabet=alphabet, length=args.len, seed=args.seed))
@@ -218,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="find a pattern in a text")
-    p.add_argument("--algo", required=True, choices=("naive", "kmp", "rk", "bm", "strie", "stree"))
+    p.add_argument("--algo", required=True, choices=ALL_ALGORITHMS)
     _add_text_source(p)
     p.add_argument("--pattern", help="pattern as a UTF-8 string")
     p.add_argument("--pattern-file", metavar="FILE", help="pattern as raw bytes from FILE")
@@ -226,23 +217,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bench", help="run the timing matrix and emit CSV")
-    p.add_argument("--sizes", default="200,500,1000,10000", help="comma-separated text sizes")
-    p.add_argument("--algos", default="naive,kmp,rk,bm,stree", help="comma-separated algorithms")
-    p.add_argument("--pattern-len", type=int, default=10)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--queries", type=int, default=10, help="repeated queries per trial")
+    p.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)), help="comma-separated text sizes")
+    p.add_argument("--algos", default=",".join(DEFAULT_ALGORITHMS), help="comma-separated algorithms")
+    p.add_argument("--pattern-len", type=int, default=BenchConfig.pattern_length)
+    p.add_argument("--trials", type=int, default=BenchConfig.trials)
+    p.add_argument("--queries", type=int, default=BenchConfig.queries_per_trial,
+                   help="repeated queries per trial")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--alphabet", choices=("dna", "ascii"), default="dna")
+    p.add_argument("--alphabet", choices=tuple(ALPHABETS), default=BenchConfig.alphabet)
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stats", help="index structure report")
     _add_text_source(p)
-    p.add_argument("--index", required=True, choices=("strie", "stree"))
+    p.add_argument("--index", required=True, choices=tuple(INDEXES))
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("gen", help="write a seeded random text")
-    p.add_argument("--alphabet", choices=("dna", "ascii", "custom"), default="dna")
+    p.add_argument("--alphabet", choices=(*ALPHABETS, "custom"), default="dna")
     p.add_argument("--freqs", help="SYMBOL=WEIGHT list, e.g. A=0.3,C=0.2,G=0.2,T=0.3")
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -250,14 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("accuracy", help="suffix-tree accuracy against the gold standard")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--text", metavar="FILE")
-    group.add_argument("--stdin", action="store_true")
+    group = _add_text_source(p)
     group.add_argument("--gen-dna", type=int, metavar="LEN",
                        help="generate uniform DNA of this length instead of reading a file")
-    p.add_argument("--fasta", action="store_true")
-    p.add_argument("--permissive-fasta", action="store_true")
-    p.add_argument("--lowercase", action="store_true")
     p.add_argument("--patterns", type=int, default=100)
     p.add_argument("--len-min", type=int, default=5)
     p.add_argument("--len-max", type=int, default=50)

@@ -65,17 +65,14 @@ class Pattern:
 class Counters:
     """Per-call instrumentation sink, filled only when passed in explicitly.
 
-    ``window_hashes`` and ``alignment_trace`` must be preset to lists by the
-    caller to collect a rolling-hash scan's per-window hashes or the exact
-    alignments a shifting matcher visited.
+    Every field is an integer that calls add to: byte comparisons, alignments
+    a scan visited, and rolling-hash windows whose hash equalled the
+    pattern's.
     """
 
     comparisons: int = 0
     alignments: int = 0
-    cursor_regressions: int = 0
     hash_hits: int = 0
-    window_hashes: list[int] | None = None
-    alignment_trace: list[int] | None = None
 
 
 @dataclass(frozen=True)
@@ -87,34 +84,39 @@ class VerificationReport:
     n_agree: int = 0
 
 
+def _raw_bytes(value: bytes | bytearray | memoryview | str) -> bytes:
+    # exact bytes come back as the same object, uncopied
+    if isinstance(value, str):
+        return value.encode("utf-8")
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes(value)
+    raise TypeError(f"expected str or a bytes-like object, got {type(value).__name__}")
+
+
 def as_text(value: Text | bytes | str) -> Text:
     """Coerce raw bytes or str (UTF-8) into a sentinel-free Text."""
     if isinstance(value, Text):
         return value
-    if isinstance(value, str):
-        value = value.encode("utf-8")
-    return Text(bytes(value))
+    return Text(_raw_bytes(value))
 
 
 def as_pattern(value: Pattern | bytes | str) -> Pattern:
     if isinstance(value, Pattern):
         return value
-    if isinstance(value, str):
-        value = value.encode("utf-8")
-    return Pattern(bytes(value))
+    return Pattern(_raw_bytes(value))
 
 
 def make_text(raw: bytes | str, append_sentinel: bool = False) -> Text:
     """Wrap raw bytes (str as UTF-8) as a Text, optionally appending NUL.
 
-    Raises SentinelCollision if ``append_sentinel`` is set and ``raw``
-    already holds a NUL.
+    Raises TypeError for anything but str or a bytes-like object, and
+    SentinelCollision if ``append_sentinel`` is set and ``raw`` already
+    holds a NUL.
     """
-    if isinstance(raw, str):
-        raw = raw.encode("utf-8")
+    raw = _raw_bytes(raw)
     if not append_sentinel:
-        return Text(bytes(raw))
-    return Text(bytes(raw) + b"\0", has_sentinel=True)
+        return Text(raw)
+    return Text(raw + b"\0", has_sentinel=True)
 
 
 def index_text(text: Text | bytes | str, index: str) -> Text:

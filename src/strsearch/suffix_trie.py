@@ -123,6 +123,13 @@ class SuffixTrieIndex:
         )
 
 
+def check_body_cap(body_len: int) -> None:
+    """Raise TrieCapExceeded for a body longer than ``BODY_CAP`` bytes."""
+    if body_len > BODY_CAP:
+        raise TrieCapExceeded(
+            f"body length {body_len} exceeds the suffix trie's cap of {BODY_CAP} bytes")
+
+
 def build_suffix_trie(text: Text | bytes | str) -> SuffixTrieIndex:
     """Insert every suffix of the NUL-terminated text, one path each.
 
@@ -131,9 +138,7 @@ def build_suffix_trie(text: Text | bytes | str) -> SuffixTrieIndex:
     TrieCapExceeded.
     """
     text = index_text(text, "suffix trie")
-    if text.body_len > BODY_CAP:
-        raise TrieCapExceeded(
-            f"body length {text.body_len} exceeds the suffix trie's cap of {BODY_CAP} bytes")
+    check_body_cap(text.body_len)
 
     data = text.data
     n_total = len(data)

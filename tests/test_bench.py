@@ -7,7 +7,8 @@ from strsearch import bench as bench_mod
 from strsearch.bench import CSV_HEADER, read_csv
 from strsearch.core import Pattern
 from strsearch.datagen import DNA_UNIFORM, GenSpec, generate_text
-from strsearch.errors import InvalidConfig, ResultMismatch
+from strsearch.errors import InvalidConfig, ResultMismatch, TrieCapExceeded
+from strsearch.suffix_trie import BODY_CAP
 
 
 def small_config(**kw):
@@ -30,6 +31,9 @@ def test_config_validation():
         BenchConfig(queries_per_trial=0)
     with pytest.raises(InvalidConfig):
         BenchConfig(alphabet="klingon")
+    with pytest.raises(TrieCapExceeded):
+        BenchConfig(sizes=(200, BODY_CAP + 1), algorithms=("naive", "strie"))
+    BenchConfig(sizes=(200, BODY_CAP + 1), algorithms=("naive", "stree"))
 
 
 def test_matrix_one_size_all_algorithms():

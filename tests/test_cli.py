@@ -133,6 +133,7 @@ def assert_trie_refused(*args):
     assert time.perf_counter() - t0 < 1.0
     assert r.returncode == 3, r.stderr
     assert f"exceeds the suffix trie's cap of {BODY_CAP} bytes" in r.stderr.decode()
+    return r
 
 
 def test_stats_trie_cap_breach(tmp_path):
@@ -148,6 +149,12 @@ def test_stats_trie_cap_breach(tmp_path):
 
 def test_bench_trie_cap_breach():
     assert_trie_refused("bench", "--algos", "strie", "--sizes", str(BODY_CAP + 1), "--seed", "1")
+
+
+def test_bench_trie_cap_checked_before_any_build():
+    # the default sizes end at 10000: refused before the smaller sizes' tries
+    r = assert_trie_refused("bench", "--algos", "naive,strie", "--seed", "1")
+    assert r.stdout == b""
 
 
 def test_gen_deterministic(tmp_path):

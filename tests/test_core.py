@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from strsearch import make_text, naive_find_all, verify_occurrences
+import strsearch
+from strsearch import (
+    bm_find_all,
+    build_suffix_tree,
+    build_suffix_trie,
+    make_text,
+    naive_find_all,
+    verify_occurrences,
+)
 from strsearch.core import Pattern, Text, gold_standard_matches
 from strsearch.errors import SentinelCollision
 
@@ -22,6 +30,40 @@ def test_make_text_with_sentinel():
     assert t.has_sentinel
     assert t.body == b"abc"
     assert t.body_len == 3
+
+
+def test_bytes_like_inputs_accepted_and_bytes_not_copied():
+    raw = b"ACGTACGT"
+    assert make_text(raw).data is raw
+    for text in (bytearray(raw), memoryview(raw), raw.decode()):
+        assert naive_find_all(text, memoryview(b"GTA")) == [2]
+        assert make_text(text, append_sentinel=True).data == raw + b"\0"
+
+
+@pytest.mark.parametrize("value", [3, 0, [65, 66], (65,), None, 2.0])
+def test_non_bytes_inputs_raise_type_error(value):
+    # bytes(3) would be three NULs and bytes([65, 66]) b"AB": both must fail
+    index = build_suffix_tree(b"axxxb")
+    calls = [
+        lambda: naive_find_all(b"a\0\0\0b", value),
+        lambda: bm_find_all(value, b"A"),
+        lambda: index.count(value),
+        lambda: index.find_all(value),
+        lambda: build_suffix_tree(value),
+        lambda: build_suffix_trie(value),
+        lambda: make_text(value),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from strsearch import *", namespace)
+    for name in strsearch.__all__:
+        assert name in namespace, name
+        assert namespace[name] is getattr(strsearch, name)
 
 
 def test_make_text_sentinel_collision():
