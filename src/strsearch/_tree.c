@@ -10,24 +10,27 @@
  * a child reference r names internal node r when r > 0 and leaf ~r when
  * r < 0; 0 means none, since the root is nobody's child or sibling.
  *
- * Layout. Every node has an edge start (es), a next sibling (ns) and the
- * first byte of its edge (fb), in int32 and uint8 arrays indexed by the
- * reference itself: leaves grow down from index -1, internal nodes up from
- * 0, so a sibling hop is one load whatever kind of node it lands on, and
- * never reads the text. Only internal nodes have an edge end (ee), a
- * suffix link (sl) and a first child (fc), in arrays indexed by id. A leaf
- * needs none of these: its edge ends at the open frontier (n once
- * finalized), its suffix link is the root, its path depth is n - j and its
- * leaf count 1. Sibling chains are sorted by first byte. The root keeps a
- * 256-entry child table instead of a chain, since on printable text it has
- * about a hundred children.
+ * Layout. Every node has a next sibling (ns) and the first byte of its
+ * edge (fb), in int32 and uint8 arrays indexed by the reference itself:
+ * leaves grow down from index -1, internal nodes up from 0, so a sibling
+ * hop is one load whatever kind of node it lands on, and never reads the
+ * text. Only internal nodes have an edge start (es), an edge end (ee), a
+ * suffix link (sl), a first child (fc) and a path depth (depth, set when
+ * the node is made), in arrays indexed by id. A leaf needs none of these:
+ * the leaf of suffix j below node v starts its edge at j + depth[v], and
+ * every walk that reaches a leaf comes from its parent; its edge ends at
+ * the open frontier (n once finalized), its suffix link is the root, its
+ * path depth is n - j and its leaf count 1. Sibling chains are sorted by
+ * first byte. The root keeps a 256-entry child table instead of a chain,
+ * since on printable text it has about a hundred children. build() gives
+ * back the room reserved for internal nodes it did not make.
  *
  * finalize() is one iterative depth-first pass in byte order over the
  * internal nodes; of a leaf it reads only the sibling link. It fills the
- * path depth of every internal node, the suffix array (leaves: the leaves'
- * suffix starts in lexicographic order) and a leaf interval [lo, hi) per
- * internal node: the leaves below v are leaves[lo[v]:hi[v]]. A leaf count
- * is then hi - lo, and enumeration is a sorted copy of one slice.
+ * suffix array (leaves: the leaves' suffix starts in lexicographic order)
+ * and a leaf interval [lo, hi) per internal node: the leaves below v are
+ * leaves[lo[v]:hi[v]]. A leaf count is then hi - lo, and enumeration is a
+ * sorted copy of one slice.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -50,11 +53,11 @@ typedef struct {
     const unsigned char *d;
     Py_ssize_t n;             /* len(text) */
     Py_ssize_t cap;           /* room for cap leaves and cap internal nodes */
-    int32_t *es, *ns;         /* by reference, from -cap to cap - 1 */
-    uint8_t *fb;              /* by reference, from -cap to cap - 1 */
-    int32_t *ee, *sl, *fc;    /* by internal id */
+    int32_t *ns;              /* by reference, from -cap on */
+    uint8_t *fb;              /* by reference, from -cap on */
+    int32_t *es, *ee, *sl, *fc, *depth; /* by internal id */
     int32_t root[256];        /* child of the root by first byte, or 0 */
-    int32_t *depth, *lo, *hi; /* internal nodes, set by finalize */
+    int32_t *lo, *hi;         /* internal nodes, set by finalize */
     int32_t *leaves;          /* the suffix array, set by finalize */
     Py_ssize_t n_internal, n_built_leaves;
     Py_ssize_t n_nodes, n_leaves, max_depth, build_steps;
@@ -75,21 +78,21 @@ child(const TreeKernel *t, int32_t v, unsigned char b)
 /* ---- construction ------------------------------------------------------ */
 
 static int32_t
-new_leaf(TreeKernel *t, int32_t start, unsigned char first)
+new_leaf(TreeKernel *t, unsigned char first)
 {
     int32_t j = (int32_t)t->n_built_leaves++;
-    t->es[~j] = start;
     t->ns[~j] = 0;
     t->fb[~j] = first;
     return ~j;
 }
 
 static int32_t
-new_internal(TreeKernel *t, int32_t start, int32_t end, unsigned char first)
+new_internal(TreeKernel *t, int32_t start, int32_t end, int32_t depth, unsigned char first)
 {
     int32_t v = (int32_t)t->n_internal++;
     t->es[v] = start;
     t->ee[v] = end;
+    t->depth[v] = depth;
     t->sl[v] = 0;
     t->fc[v] = 0;
     t->ns[v] = 0;
@@ -103,6 +106,7 @@ ukkonen(TreeKernel *t)
 {
     const unsigned char *d = t->d;
     int32_t *es = t->es, *ee = t->ee, *sl = t->sl, *fc = t->fc, *ns = t->ns;
+    const int32_t *depth = t->depth;
     uint8_t *fb = t->fb;
     int32_t n = (int32_t)t->n;
     int32_t active_node = 0, active_edge = 0, active_len = 0, remainder = 0;
@@ -133,7 +137,7 @@ ukkonen(TreeKernel *t)
             }
             if (nxt == 0) {
                 /* new leaf edge hanging off an existing node */
-                int32_t leaf = new_leaf(t, pos, first);
+                int32_t leaf = new_leaf(t, first);
                 if (active_node == 0)
                     t->root[first] = leaf;
                 else if (prev == 0) {
@@ -150,7 +154,7 @@ ukkonen(TreeKernel *t)
                 }
             }
             else {
-                int32_t start = es[nxt];
+                int32_t start = nxt > 0 ? es[nxt] : ~nxt + depth[active_node];
                 int32_t edge_len = (nxt > 0 ? ee[nxt] : pos + 1) - start;
                 if (active_len >= edge_len) {
                     /* canonicalize: hop over the whole edge. A leaf edge
@@ -169,7 +173,8 @@ ukkonen(TreeKernel *t)
                     break;
                 }
                 /* split the edge; the split node takes nxt's sibling slot */
-                int32_t split = new_internal(t, start, start + active_len, first);
+                int32_t split = new_internal(t, start, start + active_len,
+                                             depth[active_node] + active_len, first);
                 ns[split] = ns[nxt];
                 if (active_node == 0)
                     t->root[first] = split;
@@ -177,10 +182,11 @@ ukkonen(TreeKernel *t)
                     fc[active_node] = split;
                 else
                     ns[prev] = split;
-                es[nxt] = start + active_len;
+                if (nxt > 0)
+                    es[nxt] = start + active_len;  /* a leaf's start follows from its new parent */
                 unsigned char nb = d[start + active_len];
                 fb[nxt] = nb;
-                int32_t leaf = new_leaf(t, pos, c_pos);
+                int32_t leaf = new_leaf(t, c_pos);
                 if (nb < c_pos) {
                     fc[split] = nxt;
                     ns[nxt] = leaf;
@@ -215,8 +221,8 @@ ukkonen(TreeKernel *t)
 static void
 number_subtree(TreeKernel *t, int32_t c, int32_t *counter)
 {
-    const int32_t *es = t->es, *ee = t->ee, *fc = t->fc, *ns = t->ns;
-    int32_t *depth = t->depth, *lo = t->lo, *hi = t->hi, *leaves = t->leaves;
+    const int32_t *fc = t->fc, *ns = t->ns;
+    int32_t *lo = t->lo, *hi = t->hi, *leaves = t->leaves;
     int32_t k = *counter;
     if (c < 0) {
         leaves[k++] = ~c;
@@ -227,7 +233,6 @@ number_subtree(TreeKernel *t, int32_t c, int32_t *counter)
     hi[c] = 0;
     for (;;) {
         /* open v */
-        depth[v] = depth[hi[v]] + ee[v] - es[v];
         lo[v] = k;
         w = fc[v];
         for (;;) {
@@ -277,22 +282,23 @@ TreeKernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     t->d = (const unsigned char *)PyBytes_AS_STRING(data);
     t->n = n;
     /* at most n leaves, and at most one internal node per leaf (the root
-     * included); pages past the nodes actually made are never touched */
+     * included); build() gives back the room of the nodes it did not make */
     Py_ssize_t cap = n + 1;
     t->cap = cap;
-    int32_t *es = PyMem_New(int32_t, 2 * cap), *ns = PyMem_New(int32_t, 2 * cap);
+    int32_t *ns = PyMem_New(int32_t, 2 * cap);
     uint8_t *fb = PyMem_New(uint8_t, 2 * cap);
-    t->es = es ? es + cap : NULL;
     t->ns = ns ? ns + cap : NULL;
     t->fb = fb ? fb + cap : NULL;
+    t->es = PyMem_New(int32_t, cap);
     t->ee = PyMem_New(int32_t, cap);
     t->sl = PyMem_New(int32_t, cap);
     t->fc = PyMem_New(int32_t, cap);
-    if (!es || !ns || !fb || !t->ee || !t->sl || !t->fc) {
+    t->depth = PyMem_New(int32_t, cap);
+    if (!ns || !fb || !t->es || !t->ee || !t->sl || !t->fc || !t->depth) {
         Py_DECREF(t);
         return PyErr_NoMemory();
     }
-    new_internal(t, 0, 0, 0);
+    new_internal(t, 0, 0, 0, 0);
     t->n_nodes = 1;
     return (PyObject *)t;
 }
@@ -300,9 +306,9 @@ TreeKernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 static void
 TreeKernel_dealloc(TreeKernel *t)
 {
-    PyMem_Free(t->es ? t->es - t->cap : NULL);
     PyMem_Free(t->ns ? t->ns - t->cap : NULL);
     PyMem_Free(t->fb ? t->fb - t->cap : NULL);
+    PyMem_Free(t->es);
     PyMem_Free(t->ee);
     PyMem_Free(t->sl);
     PyMem_Free(t->fc);
@@ -312,6 +318,15 @@ TreeKernel_dealloc(TreeKernel *t)
     PyMem_Free(t->leaves);
     Py_XDECREF(t->text);
     Py_TYPE(t)->tp_free((PyObject *)t);
+}
+
+/* The first size bytes of block, moved or not; the block itself if
+ * realloc fails. */
+static void *
+shrink(void *block, size_t size)
+{
+    void *p = PyMem_Realloc(block, size);
+    return p != NULL ? p : block;
 }
 
 static PyObject *
@@ -329,6 +344,16 @@ TreeKernel_build(TreeKernel *t, PyObject *args, PyObject *kwds)
     t->built = 1;
     Py_ssize_t pending = ukkonen(t);
     t->n_nodes = t->n_internal + t->n_built_leaves;
+    /* no node is made after build: keep only the internal nodes made, and
+     * the leaf half of the by-reference blocks */
+    Py_ssize_t cap = t->cap, internal = t->n_internal;
+    t->ns = (int32_t *)shrink(t->ns - cap, (cap + internal) * sizeof(int32_t)) + cap;
+    t->fb = (uint8_t *)shrink(t->fb - cap, cap + internal) + cap;
+    t->es = shrink(t->es, internal * sizeof(int32_t));
+    t->ee = shrink(t->ee, internal * sizeof(int32_t));
+    t->sl = shrink(t->sl, internal * sizeof(int32_t));
+    t->fc = shrink(t->fc, internal * sizeof(int32_t));
+    t->depth = shrink(t->depth, internal * sizeof(int32_t));
     if (pending != 0 && !allow_implicit) {
         PyErr_SetString(PyExc_RuntimeError,
                         "construction left pending suffixes; text lacks a unique terminator");
@@ -345,20 +370,17 @@ TreeKernel_finalize(TreeKernel *t, PyObject *Py_UNUSED(ignored))
         return NULL;
     }
     Py_ssize_t internal = t->n_internal;
-    t->depth = PyMem_New(int32_t, internal);
     t->lo = PyMem_New(int32_t, internal);
     t->hi = PyMem_New(int32_t, internal);
     t->leaves = PyMem_New(int32_t, t->n_built_leaves + 1);
-    if (!t->depth || !t->lo || !t->hi || !t->leaves) {
-        PyMem_Free(t->depth);
+    if (!t->lo || !t->hi || !t->leaves) {
         PyMem_Free(t->lo);
         PyMem_Free(t->hi);
         PyMem_Free(t->leaves);
-        t->depth = t->lo = t->hi = t->leaves = NULL;
+        t->lo = t->hi = t->leaves = NULL;
         return PyErr_NoMemory();
     }
     int32_t counter = 0;
-    t->depth[0] = 0;
     t->lo[0] = 0;
     for (int b = 0; b < 256; b++) {
         if (t->root[b] != 0)
@@ -418,7 +440,8 @@ walk(TreeKernel *t, PyObject *arg, int32_t *node, Py_ssize_t *off, Py_ssize_t *c
         if (w == 0)
             break;
         i++;
-        Py_ssize_t start = t->es[w], end = w > 0 ? t->ee[w] : t->n, k = start + 1;
+        Py_ssize_t start = w > 0 ? t->es[w] : ~w + t->depth[v];
+        Py_ssize_t end = w > 0 ? t->ee[w] : t->n, k = start + 1;
         while (k < end && i < m) {
             c++;
             if (d[k] != pat[i])
@@ -464,7 +487,7 @@ TreeKernel_count(TreeKernel *t, PyObject *arg)
 
 /* Offsets up to this many are sorted by insertion, more by radix. */
 #define INSERTION_SORT_MAX 64
-#define RADIX_BITS 11
+#define RADIX_BITS 8
 #define RADIX (1 << RADIX_BITS)
 
 /* Sort k offsets in a, none above max_value, ascending. tmp has room for k
@@ -622,7 +645,11 @@ TreeKernel_edge_span(TreeKernel *t, PyObject *arg)
         return NULL;
     if (r >= 0)
         return Py_BuildValue("(ii)", (int)t->es[r], (int)t->ee[r]);
-    return Py_BuildValue("(in)", (int)t->es[r], t->finalized ? t->n : (Py_ssize_t)-1);
+    /* the leaf of suffix j: walk text[j:] down from the root to its parent v */
+    int32_t j = ~r, v = 0, w;
+    while ((w = child(t, v, t->d[j + t->depth[v]])) > 0)
+        v = w;
+    return Py_BuildValue("(in)", (int)(j + t->depth[v]), t->finalized ? t->n : (Py_ssize_t)-1);
 }
 
 static PyObject *
@@ -721,10 +748,10 @@ PyInit__tree(void)
     if (m == NULL)
         return NULL;
     /* bytes per node once finalized: es, ns, fb, ee, sl, fc, depth, lo and
-     * hi for an internal node; es, ns, fb and a suffix-array entry for a leaf */
+     * hi for an internal node; ns, fb and a suffix-array entry for a leaf */
     if (PyModule_AddStringConstant(m, "NAME", "c") < 0 ||
         PyModule_AddIntConstant(m, "INTERNAL_NODE_BYTES", 8 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
-        PyModule_AddIntConstant(m, "LEAF_NODE_BYTES", 3 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
+        PyModule_AddIntConstant(m, "LEAF_NODE_BYTES", 2 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
         PyModule_AddObjectRef(m, "TreeKernel", (PyObject *)&TreeKernelType) < 0) {
         Py_DECREF(m);
         return NULL;

@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .core import SENTINEL, Pattern, Text
+from .core import SENTINEL, Pattern, Text, _raw_bytes
 from .errors import BadRange, IllegalBase, InvalidWeights, MalformedFasta
 
 _MASK64 = (1 << 64) - 1
@@ -122,20 +122,26 @@ def generate_text(spec: GenSpec) -> Text:
     return Text(bytes(out))
 
 
-_FASTA_ALLOWED = frozenset(b"ACGTN")
+_FASTA_ALLOWED = b"ACGTN"
+_NOT_SENTINEL = bytes(b for b in range(256) if b != SENTINEL)
 
 
-def read_fasta(source: bytes | io.IOBase, permissive: bool = False) -> Text:
+def _source_bytes(source: bytes | bytearray | memoryview | str | io.IOBase) -> bytes:
+    """The bytes of a bytes-like or str source, or of what its read() returns."""
+    return _raw_bytes(source.read() if hasattr(source, "read") else source)
+
+
+def read_fasta(source: bytes | bytearray | memoryview | str | io.IOBase, permissive: bool = False) -> Text:
     """Concatenate the sequence lines of all records, uppercased.
 
     Strict mode accepts only A, C, G, T, N after uppercasing; permissive
     mode accepts anything except the sentinel byte.
     """
-    data = source if isinstance(source, (bytes, bytearray)) else source.read()
+    allowed = _NOT_SENTINEL if permissive else _FASTA_ALLOWED
     body = bytearray()
     saw_header = False
-    for line in bytes(data).splitlines():
-        line = bytes(line).strip()
+    for line in _source_bytes(source).splitlines():
+        line = line.strip()
         if not line:
             continue
         if line.startswith(b">"):
@@ -144,24 +150,25 @@ def read_fasta(source: bytes | io.IOBase, permissive: bool = False) -> Text:
         if not saw_header:
             raise MalformedFasta("sequence data before any '>' header")
         seq = b"".join(line.split()).upper()
-        for c in seq:
-            if c == SENTINEL:
-                raise IllegalBase("NUL byte in sequence data")
-            if not permissive and c not in _FASTA_ALLOWED:
-                raise IllegalBase(f"unexpected base {chr(c)!r} (use permissive mode to keep it)")
+        if seq.translate(None, allowed):
+            # something is left over: name the first byte at fault
+            for c in seq:
+                if c == SENTINEL:
+                    raise IllegalBase("NUL byte in sequence data")
+                if c not in allowed:
+                    raise IllegalBase(f"unexpected base {chr(c)!r} (use permissive mode to keep it)")
         body.extend(seq)
     if not saw_header:
         raise MalformedFasta("no '>' header found")
     return Text(bytes(body))
 
 
-def read_text_file(source: bytes | io.IOBase) -> tuple[Text, int]:
+def read_text_file(source: bytes | bytearray | memoryview | str | io.IOBase) -> tuple[Text, int]:
     """Pass bytes through unchanged except for removal of sentinel bytes.
 
     Returns (text, removed_count).
     """
-    data = source if isinstance(source, (bytes, bytearray)) else source.read()
-    data = bytes(data)
+    data = _source_bytes(source)
     removed = data.count(SENTINEL)
     if removed:
         data = data.replace(bytes([SENTINEL]), b"")

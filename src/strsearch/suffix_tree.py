@@ -9,10 +9,10 @@ coordinates into the shared text, never copied substrings.
 A build is a two-step affair: construction over the sentinel-terminated text,
 then finalize(), a single depth-first pass in byte order that freezes the
 open leaf ends, lists the leaves' suffix starts in lexicographic order (the
-suffix array), and gives every internal node its path depth and the interval
-of that list its subtree covers. Queries are only legal on a finalized
-index: counting an occurrence total is then a descent plus one interval
-length, and enumeration a sorted copy of the interval.
+suffix array), and gives every internal node the interval of that list its
+subtree covers. Queries are only legal on a finalized index: counting an
+occurrence total is then a descent plus one interval length, and
+enumeration a sorted copy of the interval.
 
 Node ids: internal nodes take 0..I-1 in creation order, the root at 0, and
 the leaf of suffix j takes I + j.

@@ -117,6 +117,30 @@ def test_fasta_accepts_stream():
     assert read_fasta(io.BytesIO(b">s\nAC GT\n")).data == b"ACGT"
 
 
+def test_fasta_names_the_first_byte_at_fault():
+    # on one line, whichever of an illegal base and a NUL comes first
+    for permissive in (False, True):
+        with pytest.raises(IllegalBase, match="NUL byte"):
+            read_fasta(b">x\nAC\x00GU\n", permissive=permissive)
+    with pytest.raises(IllegalBase, match="unexpected base 'U'"):
+        read_fasta(b">x\nACUG\x00\n")
+    with pytest.raises(IllegalBase, match="NUL byte"):
+        read_fasta(b">x\nACUG\x00\n", permissive=True)
+
+
+def test_readers_take_what_other_entry_points_take():
+    for source in (">s\nACGT\n", memoryview(b">s\nACGT\n"), bytearray(b">s\nACGT\n")):
+        assert read_fasta(source).data == b"ACGT"
+    for source in ("ab\x00c", memoryview(b"ab\x00c"), io.BytesIO(b"ab\x00c")):
+        text, removed = read_text_file(source)
+        assert (text.data, removed) == (b"abc", 1)
+    for bad in (3, None):
+        with pytest.raises(TypeError):
+            read_fasta(bad)
+        with pytest.raises(TypeError):
+            read_text_file(bad)
+
+
 def test_fasta_round_trip():
     data = generate_text(GenSpec(alphabet=DNA_UNIFORM, length=997, seed=55)).data
     lines = [b">generated"] + [data[i : i + 60] for i in range(0, len(data), 60)]

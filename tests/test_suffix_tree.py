@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -166,10 +167,10 @@ def test_find_all_examples(tree_kernel):
 
 def test_find_all_many_occurrences(tree_kernel):
     # occurrence lists long enough to take collect's radix sort, with
-    # offsets of more than one 11-bit digit
+    # offsets of two 8-bit digits, and of three past 2**16
     rng = random.Random(907)
-    for symbols in (b"ab", b"ACGT"):
-        body = random_body(rng, symbols, 5000)
+    for symbols, n in ((b"ab", 5000), (b"ACGT", 5000), (b"ACGT", 70_000)):
+        body = random_body(rng, symbols, n)
         index = tree_for(body)
         for m in (1, 2, 3, 4, 5):
             pat = body[rng.randrange(len(body) - m) :][:m]
@@ -278,10 +279,44 @@ def test_stats_report(tree_kernel):
     assert stats.leaf_count == 12
     assert stats.internal_count == 6
     assert stats.max_depth == 12
-    # 7 internal nodes (the root included) at 33 B, 12 leaves at 13 B
-    assert stats.logical_bytes == 7 * 33 + 12 * 13
+    # 7 internal nodes (the root included) at 33 B, 12 leaves at 9 B
+    assert stats.logical_bytes == 7 * 33 + 12 * 9
     assert tree_for(b"a").stats().node_count == 3
     assert tree_for(b"abab").stats().leaf_count == 5
+
+
+def test_stats_logical_bytes_match_allocation():
+    # the C kernel's node arrays hold what stats() reports, once finalized,
+    # on a fan-out of 4 and of 95
+    rng = random.Random(5)
+    for symbols in (b"ACGT", bytes(range(32, 127))):
+        text = make_text(random_body(rng, symbols, 100_000), append_sentinel=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = build_suffix_tree(text)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert abs(held / index.stats().logical_bytes - 1) < 0.05, (held, index.stats())
+
+
+def test_leaf_edge_start_is_suffix_plus_parent_depth(tree_kernel):
+    # the leaf of suffix j below node v starts its edge at j + depth(v),
+    # also in an implicit tree over an unterminated text
+    rng = random.Random(1212)
+    dna, printable = (random_body(rng, s, 2000) for s in (b"ACGT", bytes(range(32, 127))))
+    for data, implicit in ((dna + b"\x00", False), (printable + b"\x00", False), (dna[:1500], True)):
+        k = tree_kernel.TreeKernel(data)
+        k.build(implicit)
+        k.finalize()
+        leaves = 0
+        for v in range(k.n_nodes):
+            for _b, w in k.children_of(v):
+                if k.is_leaf(w):
+                    assert k.edge_span(w)[0] == k.suffix_index_of(w) + k.path_depth_of(v)
+                    leaves += 1
+        assert leaves == k.n_leaves
 
 
 def test_node_ids_internal_first_then_leaves_by_suffix(tree_kernel):
