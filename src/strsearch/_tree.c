@@ -22,8 +22,13 @@
  * the open frontier (n once finalized), its suffix link is the root, its
  * path depth is n - j and its leaf count 1. Sibling chains are sorted by
  * first byte. The root keeps a 256-entry child table instead of a chain,
- * since on printable text it has about a hundred children. build() gives
- * back the room reserved for internal nodes it did not make.
+ * since on printable text it has about a hundred children. While Ukkonen's
+ * pass runs, so do the nodes of path depth 1: build() ranks the sigma byte
+ * values that occur and lends the pass a sigma x sigma table of their
+ * children, which the pass links into sorted chains at its end and build()
+ * then frees. On printable text nearly all sibling hops of the pass would
+ * otherwise be at those nodes. build() also gives back the room reserved
+ * for internal nodes it did not make.
  *
  * finalize() is one iterative depth-first pass in byte order over the
  * internal nodes; of a leaf it reads only the sibling link. It fills the
@@ -100,16 +105,19 @@ new_internal(TreeKernel *t, int32_t start, int32_t end, int32_t depth, unsigned 
     return v;
 }
 
-/* Ukkonen's pass over the whole text; returns the suffixes left pending. */
+/* Ukkonen's pass over the whole text; returns the suffixes left pending.
+ * The children of a node of path depth 1 live in its row of pair during
+ * the pass: row rank[b] for the node on byte b, column rank[c] for the child
+ * on byte c, sigma columns. The rows become sorted chains before it returns. */
 static Py_ssize_t
-ukkonen(TreeKernel *t)
+ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
 {
     const unsigned char *d = t->d;
     int32_t *es = t->es, *ee = t->ee, *sl = t->sl, *fc = t->fc, *ns = t->ns;
-    const int32_t *depth = t->depth;
     uint8_t *fb = t->fb;
     int32_t n = (int32_t)t->n;
     int32_t active_node = 0, active_edge = 0, active_len = 0, remainder = 0;
+    int32_t active_depth = 0;  /* path depth of active_node */
     Py_ssize_t steps = 0;
 
     for (int32_t pos = 0; pos < n; pos++) {
@@ -121,10 +129,15 @@ ukkonen(TreeKernel *t)
             if (active_len == 0)
                 active_edge = pos;
             unsigned char first = d[active_edge];
-            /* find the child on `first`, and the sibling before its slot */
-            int32_t prev = 0, nxt;
-            if (active_node == 0) {
-                nxt = t->root[first];
+            /* find the child on `first`: in its table slot, or in the chain
+             * with the sibling before its slot */
+            int32_t *slot = NULL, prev = 0, nxt;
+            if (active_node == 0)
+                slot = &t->root[first];
+            else if (active_depth == 1)
+                slot = &pair[rank[fb[active_node]] * sigma + rank[first]];
+            if (slot != NULL) {
+                nxt = *slot;
             }
             else {
                 nxt = fc[active_node];
@@ -138,8 +151,8 @@ ukkonen(TreeKernel *t)
             if (nxt == 0) {
                 /* new leaf edge hanging off an existing node */
                 int32_t leaf = new_leaf(t, first);
-                if (active_node == 0)
-                    t->root[first] = leaf;
+                if (slot != NULL)
+                    *slot = leaf;
                 else if (prev == 0) {
                     ns[leaf] = fc[active_node];
                     fc[active_node] = leaf;
@@ -154,13 +167,14 @@ ukkonen(TreeKernel *t)
                 }
             }
             else {
-                int32_t start = nxt > 0 ? es[nxt] : ~nxt + depth[active_node];
+                int32_t start = nxt > 0 ? es[nxt] : ~nxt + active_depth;
                 int32_t edge_len = (nxt > 0 ? ee[nxt] : pos + 1) - start;
                 if (active_len >= edge_len) {
                     /* canonicalize: hop over the whole edge. A leaf edge
                      * always reaches past the active point, so nxt is an
                      * internal node here. */
                     active_node = nxt;
+                    active_depth += edge_len;
                     active_edge += edge_len;
                     active_len -= edge_len;
                     continue;
@@ -174,10 +188,10 @@ ukkonen(TreeKernel *t)
                 }
                 /* split the edge; the split node takes nxt's sibling slot */
                 int32_t split = new_internal(t, start, start + active_len,
-                                             depth[active_node] + active_len, first);
+                                             active_depth + active_len, first);
                 ns[split] = ns[nxt];
-                if (active_node == 0)
-                    t->root[first] = split;
+                if (slot != NULL)
+                    *slot = split;
                 else if (prev == 0)
                     fc[active_node] = split;
                 else
@@ -187,7 +201,13 @@ ukkonen(TreeKernel *t)
                 unsigned char nb = d[start + active_len];
                 fb[nxt] = nb;
                 int32_t leaf = new_leaf(t, c_pos);
-                if (nb < c_pos) {
+                if (active_node == 0 && active_len == 1) {
+                    /* the split node has path depth 1: its children go in its row */
+                    int32_t *row = &pair[rank[first] * sigma];
+                    row[rank[nb]] = nxt;
+                    row[rank[c_pos]] = leaf;
+                }
+                else if (nb < c_pos) {
                     fc[split] = nxt;
                     ns[nxt] = leaf;
                 }
@@ -207,8 +227,24 @@ ukkonen(TreeKernel *t)
             }
             else if (active_node != 0) {
                 active_node = sl[active_node];
+                active_depth--;
             }
         }
+    }
+    /* link each depth-1 node's children from its row, in byte order */
+    for (int b = 0; b < 256; b++) {
+        int32_t v = t->root[b];
+        if (v <= 0 || t->depth[v] != 1)
+            continue;
+        const int32_t *row = &pair[rank[b] * sigma];
+        int32_t chain = 0;
+        for (int32_t k = sigma - 1; k >= 0; k--) {
+            if (row[k] != 0) {
+                ns[row[k]] = chain;
+                chain = row[k];
+            }
+        }
+        fc[v] = chain;
     }
     t->build_steps = steps;
     return remainder;
@@ -341,8 +377,21 @@ TreeKernel_build(TreeKernel *t, PyObject *args, PyObject *kwds)
                         t->built ? "kernel already built" : "kernel already finalized");
         return NULL;
     }
+    /* rank the bytes that occur, for the depth-1 child table */
+    uint8_t seen[256] = {0}, rank[256];
+    for (Py_ssize_t i = 0; i < t->n; i++)
+        seen[t->d[i]] = 1;
+    int32_t sigma = 0;
+    for (int b = 0; b < 256; b++) {
+        if (seen[b])
+            rank[b] = (uint8_t)sigma++;
+    }
+    int32_t *pair = PyMem_Calloc((size_t)sigma * sigma, sizeof(int32_t));
+    if (pair == NULL)
+        return PyErr_NoMemory();
     t->built = 1;
-    Py_ssize_t pending = ukkonen(t);
+    Py_ssize_t pending = ukkonen(t, rank, sigma, pair);
+    PyMem_Free(pair);
     t->n_nodes = t->n_internal + t->n_built_leaves;
     /* no node is made after build: keep only the internal nodes made, and
      * the leaf half of the by-reference blocks */
@@ -692,7 +741,7 @@ static PyMethodDef TreeKernel_methods[] = {
     {"build", (PyCFunction)(void (*)(void))TreeKernel_build, METH_VARARGS | METH_KEYWORDS,
      "build(allow_implicit=False): one Ukkonen pass over the text."},
     {"finalize", (PyCFunction)TreeKernel_finalize, METH_NOARGS,
-     "Freeze leaf ends; fill path depths, the suffix array and leaf intervals."},
+     "Freeze leaf ends; fill the suffix array and leaf intervals."},
     {"descend", (PyCFunction)TreeKernel_descend, METH_O,
      "descend(pat) -> (node, offset_within_edge, comparisons); node is -1 on a mismatch."},
     {"count", (PyCFunction)TreeKernel_count, METH_O, "Occurrences of pat in the text."},

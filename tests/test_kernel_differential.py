@@ -8,8 +8,10 @@ valid and invalid, on one kernel and logs every outcome; the two logs must
 be equal. A crash of the C kernel takes the test process down with it.
 """
 
+import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from strsearch import Counters, _pykernel, _tree, build_suffix_tree, suffix_tree
@@ -129,6 +131,38 @@ def test_kernels_agree_through_public_index(case):
     body, patterns = case
     want = index_script(_pykernel, body, patterns)
     assert index_script(_tree, body, patterns) == want
+
+
+# Hypothesis bodies are too short to give a node of path depth 1 many
+# children; these bodies are not. "every byte" makes, with the sentinel, all
+# 256 byte values occur.
+WIDE_SYMBOLS = {"printable": ALPHABETS["printable"], "every byte": bytes(range(1, 256))}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_SYMBOLS))
+def test_kernels_agree_below_wide_depth_one_nodes(name):
+    symbols = WIDE_SYMBOLS[name]
+    rng = random.Random(13)
+    # every symbol once, then pairs led by one hub byte, so that the hub's
+    # depth-1 node has a child on most symbols
+    hub = symbols[rng.randrange(len(symbols))]
+    body = bytes(rng.sample(symbols, len(symbols)))
+    body += bytes(b for _ in range(1400) for b in (hub, rng.choice(symbols)))
+    patterns = [*FIXED_PATTERNS, bytes([hub]), bytes([hub, hub])]
+    for _ in range(12):
+        start = rng.randrange(len(body))
+        patterns.append(body[start : start + rng.randint(1, 6)])
+    for data, allow_implicit in ((body + b"\x00", False), (body[:2000], True)):
+        ref = _pykernel.TreeKernel(data)
+        ref.build(allow_implicit)
+        fan_out = [
+            len(ref.children_of(v)) for _, v in ref.children_of(0)
+            if not ref.is_leaf(v) and ref.edge_span(v)[1] - ref.edge_span(v)[0] == 1
+        ]
+        assert max(fan_out) >= 64
+        want = kernel_script(_pykernel, data, allow_implicit, patterns)
+        assert kernel_script(_tree, data, allow_implicit, patterns) == want
+    assert len(set(body + b"\x00")) == len(symbols) + 1
 
 
 def test_kernels_reject_non_bytes_text():
