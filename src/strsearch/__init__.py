@@ -9,8 +9,7 @@ dataset generation, and a benchmark harness with CSV output.
 
 The suffix tree is a C extension, ``strsearch._tree``, compiled by
 ``python setup.py build_ext --inplace``; ``active_backend()`` names it. The
-classical scans run in pure Python (``strsearch._pykernel``), which also holds
-the reference tree kernel the tests compare the C one against.
+classical scans run in pure Python, in ``strsearch.baselines``.
 """
 
 # suffix_tree first: it raises the ImportError that names the build command

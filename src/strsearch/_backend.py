@@ -1,7 +1,7 @@
 """The suffix tree kernel behind the public API.
 
 The public API builds its trees with the C kernel ``strsearch._tree``; the
-classical scans stay in pure Python (``strsearch._pykernel``). These two
+classical scans stay in pure Python (``strsearch.baselines``). These two
 functions name the tree kernel for tooling that records which kernel a run
 used.
 """

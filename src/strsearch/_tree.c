@@ -1,8 +1,9 @@
 /* Suffix tree kernel in C: the tree behind strsearch.SuffixTreeIndex.
  *
- * It runs the same Ukkonen loop as strsearch._pykernel.TreeKernel and
- * numbers nodes the same way, so node ids, build_steps and every
- * introspection answer equal the Python kernel's; tests compare the two.
+ * It runs the same Ukkonen loop as the Python reference TreeKernel in
+ * tests/reference_tree.py and numbers nodes the same way, so node ids,
+ * build_steps and every introspection answer equal the reference's; tests
+ * compare the two.
  *
  * Ids. Internal nodes take ids 0..I-1 in creation order, the root at 0.
  * Ukkonen's loop creates the leaf of suffix j as its j-th leaf, so that
@@ -460,7 +461,8 @@ public_id(const TreeKernel *t, int32_t r)
 }
 
 /* Walk a pattern from the root; sets *node to the reference of the locus
- * (0 on a mismatch), *off and *comps as _pykernel.TreeKernel.descend does.
+ * (0 on a mismatch), *off and *comps as the reference TreeKernel.descend
+ * in tests/reference_tree.py does.
  * Returns -1 with an exception set on a bad argument. */
 static int
 walk(TreeKernel *t, PyObject *arg, int32_t *node, Py_ssize_t *off, Py_ssize_t *comps, Py_ssize_t *m_out)
@@ -784,7 +786,7 @@ static PyTypeObject TreeKernelType = {
 static struct PyModuleDef tree_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "strsearch._tree",
-    .m_doc = "Suffix tree kernel in C, with the interface of strsearch._pykernel.TreeKernel.",
+    .m_doc = "Suffix tree kernel in C, with the interface of the reference TreeKernel in tests/reference_tree.py.",
     .m_size = -1,
 };
 

@@ -1,7 +1,7 @@
 """Classical single-pattern matchers: naive, KMP, Rabin-Karp, Boyer-Moore.
 
 All four return the same match set as the naive scan (all overlapping
-occurrences, ascending) and takes ``(text, pattern, counters=None)``. Pass
+occurrences, ascending) and take ``(text, pattern, counters=None)``. Pass
 a Counters object to collect per-call instrumentation: byte comparisons,
 alignments visited and hash hits.
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _pykernel
 from .core import SENTINEL, Counters, Pattern, Text, as_pattern, as_text
 from .errors import SentinelCollision
 
@@ -52,14 +51,47 @@ def naive_find_all(
     counters: Counters | None = None,
 ) -> list[int]:
     """Direct comparison at every alignment; the in-library reference."""
-    body, pat = _prep(text, pattern)
-    return _pykernel.naive_search(body, pat, counters)
+    text, pat = _prep(text, pattern)
+    n = len(text)
+    m = len(pat)
+    out = []
+    comps = 0
+    aligns = 0
+    for i in range(n - m + 1):
+        aligns += 1
+        j = 0
+        while j < m:
+            comps += 1
+            if text[i + j] != pat[j]:
+                break
+            j += 1
+        if j == m:
+            out.append(i)
+    if counters is not None:
+        counters.comparisons += comps
+        counters.alignments += aligns
+    return out
 
 
 def build_lps(pattern: Pattern | bytes | str) -> list[int]:
-    """Longest-proper-prefix-that-is-also-suffix length per pattern prefix."""
-    pat = as_pattern(pattern)
-    return list(_pykernel.lps_table(pat.data))
+    """lps[i] = length of the longest proper prefix of pattern[:i+1] that is
+    also a suffix of it."""
+    pat = as_pattern(pattern).data
+    m = len(pat)
+    lps = [0] * m
+    length = 0
+    i = 1
+    while i < m:
+        if pat[i] == pat[length]:
+            length += 1
+            lps[i] = length
+            i += 1
+        elif length != 0:
+            length = lps[length - 1]
+        else:
+            lps[i] = 0
+            i += 1
+    return lps
 
 
 def kmp_find_all(
@@ -68,13 +100,41 @@ def kmp_find_all(
     counters: Counters | None = None,
 ) -> list[int]:
     """Prefix-function matcher; the text cursor never moves backward."""
-    body, pat = _prep(text, pattern)
-    return _pykernel.kmp_search(body, pat, counters)
+    text, pat = _prep(text, pattern)
+    n = len(text)
+    m = len(pat)
+    out = []
+    if n < m:
+        return out
+    lps = build_lps(pat)
+    comps = 0
+    j = 0
+    for i in range(n):
+        c = text[i]
+        while True:
+            comps += 1
+            if c == pat[j]:
+                j += 1
+                break
+            if j == 0:
+                break
+            j = lps[j - 1]
+        if j == m:
+            out.append(i - m + 1)
+            j = lps[j - 1]
+    if counters is not None:
+        counters.comparisons += comps
+    return out
 
 
 def rk_hash(data: Pattern | bytes | str) -> int:
     """Polynomial hash: (sum data[i] * RK_BASE^(len-1-i)) mod RK_MODULUS."""
-    return _pykernel.poly_hash(as_pattern(data).data, RK_BASE, RK_MODULUS)
+    base = RK_BASE
+    mod = RK_MODULUS
+    h = 0
+    for c in as_pattern(data).data:
+        h = (h * base + c) % mod
+    return h
 
 
 def rk_find_all(
@@ -84,16 +144,91 @@ def rk_find_all(
 ) -> list[int]:
     """Rolling-hash scan with mandatory verification on every hash hit, so
     collisions cost time but never correctness."""
-    body, pat = _prep(text, pattern)
-    return _pykernel.rk_search(body, pat, RK_BASE, RK_MODULUS, counters)
+    text, pat = _prep(text, pattern)
+    base = RK_BASE
+    mod = RK_MODULUS
+    n = len(text)
+    m = len(pat)
+    out = []
+    if n < m:
+        return out
+    target = rk_hash(pat)
+    lead = pow(base, m - 1, mod)
+    h = rk_hash(text[:m])
+    hits = 0
+    comps = 0
+    i = 0
+    while True:
+        if h == target:
+            hits += 1
+            j = 0
+            while j < m:
+                comps += 1
+                if text[i + j] != pat[j]:
+                    break
+                j += 1
+            if j == m:
+                out.append(i)
+        if i == n - m:
+            break
+        h = ((h - text[i] * lead) * base + text[i + m]) % mod
+        i += 1
+    if counters is not None:
+        counters.hash_hits += hits
+        counters.comparisons += comps
+    return out
+
+
+def _bm_suffixes(pat: bytes) -> list[int]:
+    # suff[i] = length of the longest common suffix of pat and pat[:i+1]
+    m = len(pat)
+    suff = [0] * m
+    suff[m - 1] = m
+    g = m - 1
+    f = m - 1
+    for i in range(m - 2, -1, -1):
+        if i > g and suff[i + m - 1 - f] < i - g:
+            suff[i] = suff[i + m - 1 - f]
+        else:
+            if i < g:
+                g = i
+            f = i
+            while g >= 0 and pat[g] == pat[g + m - 1 - f]:
+                g -= 1
+            suff[i] = f - g
+    return suff
 
 
 def bm_build_tables(pattern: Pattern | bytes | str) -> BmTables:
+    """The bad-character table and the strong good-suffix shifts.
+
+    A shorter reoccurrence of a matched suffix counts only when preceded by
+    a different byte; otherwise the shift falls back to the longest border
+    of the pattern. good_suffix[m] is the full-match shift (the pattern
+    period).
+    """
     pat = as_pattern(pattern).data
-    return BmTables(
-        bad_char=tuple(_pykernel.bm_bad_char(pat)),
-        good_suffix=tuple(_pykernel.bm_good_suffix(pat)),
-    )
+    m = len(pat)
+    bad = [-1] * 256
+    for i, c in enumerate(pat):
+        bad[c] = i
+    suff = _bm_suffixes(pat)
+    by_pos = [m] * m  # shift when mismatch occurs at pattern index j
+    j = 0
+    for i in range(m - 1, -1, -1):
+        if suff[i] == i + 1:  # pat[:i+1] is a border of the pattern
+            while j < m - 1 - i:
+                if by_pos[j] == m:
+                    by_pos[j] = m - 1 - i
+                j += 1
+    for i in range(m - 1):
+        by_pos[m - 1 - suff[i]] = m - 1 - i
+    gs = [0] * (m + 1)
+    for k in range(m):  # matched suffix length k corresponds to mismatch at m-1-k
+        gs[k] = by_pos[m - 1 - k]
+    border = build_lps(pat)[m - 1]
+    gs[m] = m - border
+    return BmTables(bad_char=tuple(bad), good_suffix=tuple(gs))
 
 
 def bm_find_all(
@@ -102,5 +237,38 @@ def bm_find_all(
     counters: Counters | None = None,
 ) -> list[int]:
     """Right-to-left scan shifting by max(bad character, strong good suffix, 1)."""
-    body, pat = _prep(text, pattern)
-    return _pykernel.bm_search(body, pat, counters)
+    text, pat = _prep(text, pattern)
+    n = len(text)
+    m = len(pat)
+    out = []
+    if n < m:
+        return out
+    tables = bm_build_tables(pat)
+    bad = tables.bad_char
+    gs = tables.good_suffix
+    comps = 0
+    aligns = 0
+    s = 0
+    while s <= n - m:
+        aligns += 1
+        j = m - 1
+        while j >= 0:
+            comps += 1
+            if text[s + j] != pat[j]:
+                break
+            j -= 1
+        if j < 0:
+            out.append(s)
+            s += gs[m]
+        else:
+            shift = gs[m - 1 - j]
+            bc = j - bad[text[s + j]]
+            if bc > shift:
+                shift = bc
+            if shift < 1:
+                shift = 1
+            s += shift
+    if counters is not None:
+        counters.comparisons += comps
+        counters.alignments += aligns
+    return out

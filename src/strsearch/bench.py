@@ -57,9 +57,6 @@ CSV_HEADER = (
     "build_ns", "query_total_ns", "matches", "nodes", "logical_bytes",
 )
 
-_ALPHABETS = {"dna": DNA_UNIFORM, "ascii": ASCII_PRINTABLE}
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     sizes: tuple[int, ...] = DEFAULT_SIZES

@@ -25,14 +25,15 @@ def pytest_configure(config):
 
 @pytest.fixture(params=["py"])
 def kernel(request):
-    """The pure-Python kernel module, for the classical scans.
+    """The module that holds the classical scans, ``strsearch.baselines``.
 
-    Tests that exercise kernel code take this fixture, so their ids carry the
-    kernel's name (``test_x[py]``) and stay comparable from run to run.
+    Tests of the scans take this fixture, so their ids carry the name the
+    scans have always run under (``test_x[py]``) and stay comparable from
+    run to run.
     """
-    from strsearch import _pykernel
+    from strsearch import baselines
 
-    return _pykernel
+    return baselines
 
 
 @pytest.fixture(params=["py", "c"])
@@ -43,8 +44,9 @@ def tree_kernel(request, monkeypatch):
     ``build_suffix_tree`` builds its trees with the kernel under test for the
     rest of the test.
     """
-    from strsearch import _pykernel, _tree, suffix_tree
+    import reference_tree
+    from strsearch import _tree, suffix_tree
 
-    kmod = {_pykernel.NAME: _pykernel, _tree.NAME: _tree}[request.param]
+    kmod = {reference_tree.NAME: reference_tree, _tree.NAME: _tree}[request.param]
     monkeypatch.setattr(suffix_tree, "TreeKernel", kmod.TreeKernel)
     return kmod

@@ -1,15 +1,9 @@
-"""Pure-Python kernels: the classical scans and the reference suffix tree.
+"""The reference suffix tree kernel, in pure Python.
 
-The four classical scan loops run behind ``strsearch.baselines``. They fill a
-caller-supplied Counters object with their comparison, alignment and hash-hit
-counts when one is passed.
-
-``TreeKernel`` is the reference implementation of the suffix tree kernel.
-The public API runs on its C twin, ``strsearch._tree``, which builds the same
-tree node for node; the tests compare the two.
-
-Inputs are plain ``bytes``; validation and type wrapping happen in the public
-modules (``strsearch.baselines``, ``strsearch.suffix_tree``).
+``TreeKernel`` builds the same tree as the C kernel ``strsearch._tree``,
+node for node, and answers every method the same way; the differential
+tests compare the two. Inputs are plain ``bytes``; validation and type
+wrapping happen in ``strsearch.suffix_tree``.
 """
 
 from __future__ import annotations
@@ -17,213 +11,6 @@ from __future__ import annotations
 import gc
 
 NAME = "py"
-
-
-# ---------------------------------------------------------------------------
-# classical matchers
-# ---------------------------------------------------------------------------
-
-def naive_search(text: bytes, pat: bytes, counters=None) -> list[int]:
-    """Test every alignment 0..n-m by direct byte comparison."""
-    n = len(text)
-    m = len(pat)
-    out = []
-    comps = 0
-    aligns = 0
-    for i in range(n - m + 1):
-        aligns += 1
-        j = 0
-        while j < m:
-            comps += 1
-            if text[i + j] != pat[j]:
-                break
-            j += 1
-        if j == m:
-            out.append(i)
-    if counters is not None:
-        counters.comparisons += comps
-        counters.alignments += aligns
-    return out
-
-
-def lps_table(pat: bytes) -> list[int]:
-    """lps[i] = length of the longest proper prefix of pat[:i+1] that is
-    also a suffix of it."""
-    m = len(pat)
-    lps = [0] * m
-    length = 0
-    i = 1
-    while i < m:
-        if pat[i] == pat[length]:
-            length += 1
-            lps[i] = length
-            i += 1
-        elif length != 0:
-            length = lps[length - 1]
-        else:
-            lps[i] = 0
-            i += 1
-    return lps
-
-
-def kmp_search(text: bytes, pat: bytes, counters=None) -> list[int]:
-    n = len(text)
-    m = len(pat)
-    out = []
-    if n < m:
-        return out
-    lps = lps_table(pat)
-    comps = 0
-    j = 0
-    for i in range(n):
-        c = text[i]
-        while True:
-            comps += 1
-            if c == pat[j]:
-                j += 1
-                break
-            if j == 0:
-                break
-            j = lps[j - 1]
-        if j == m:
-            out.append(i - m + 1)
-            j = lps[j - 1]
-    if counters is not None:
-        counters.comparisons += comps
-    return out
-
-
-def poly_hash(data: bytes, base: int, mod: int) -> int:
-    """(sum data[i] * base^(len-1-i)) mod mod."""
-    h = 0
-    for c in data:
-        h = (h * base + c) % mod
-    return h
-
-
-def rk_search(text: bytes, pat: bytes, base: int, mod: int, counters=None) -> list[int]:
-    """Rolling-hash scan; every hash hit is verified by direct comparison."""
-    n = len(text)
-    m = len(pat)
-    out = []
-    if n < m:
-        return out
-    target = poly_hash(pat, base, mod)
-    lead = pow(base, m - 1, mod)
-    h = poly_hash(text[:m], base, mod)
-    hits = 0
-    comps = 0
-    i = 0
-    while True:
-        if h == target:
-            hits += 1
-            j = 0
-            while j < m:
-                comps += 1
-                if text[i + j] != pat[j]:
-                    break
-                j += 1
-            if j == m:
-                out.append(i)
-        if i == n - m:
-            break
-        h = ((h - text[i] * lead) * base + text[i + m]) % mod
-        i += 1
-    if counters is not None:
-        counters.hash_hits += hits
-        counters.comparisons += comps
-    return out
-
-
-def bm_bad_char(pat: bytes) -> list[int]:
-    """256-entry table: rightmost index of each byte in the pattern, -1 if absent."""
-    table = [-1] * 256
-    for i, c in enumerate(pat):
-        table[c] = i
-    return table
-
-
-def _bm_suffixes(pat: bytes) -> list[int]:
-    # suff[i] = length of the longest common suffix of pat and pat[:i+1]
-    m = len(pat)
-    suff = [0] * m
-    suff[m - 1] = m
-    g = m - 1
-    f = m - 1
-    for i in range(m - 2, -1, -1):
-        if i > g and suff[i + m - 1 - f] < i - g:
-            suff[i] = suff[i + m - 1 - f]
-        else:
-            if i < g:
-                g = i
-            f = i
-            while g >= 0 and pat[g] == pat[g + m - 1 - f]:
-                g -= 1
-            suff[i] = f - g
-    return suff
-
-
-def bm_good_suffix(pat: bytes) -> list[int]:
-    """Strong good-suffix shifts indexed by matched suffix length 0..m.
-
-    A shorter reoccurrence counts only when preceded by a different byte;
-    otherwise the shift falls back to the longest border of the pattern.
-    gs[m] is the full-match shift (the pattern period).
-    """
-    m = len(pat)
-    suff = _bm_suffixes(pat)
-    by_pos = [m] * m  # shift when mismatch occurs at pattern index j
-    j = 0
-    for i in range(m - 1, -1, -1):
-        if suff[i] == i + 1:  # pat[:i+1] is a border of the pattern
-            while j < m - 1 - i:
-                if by_pos[j] == m:
-                    by_pos[j] = m - 1 - i
-                j += 1
-    for i in range(m - 1):
-        by_pos[m - 1 - suff[i]] = m - 1 - i
-    gs = [0] * (m + 1)
-    for k in range(m):  # matched suffix length k corresponds to mismatch at m-1-k
-        gs[k] = by_pos[m - 1 - k]
-    border = lps_table(pat)[m - 1]
-    gs[m] = m - border
-    return gs
-
-
-def bm_search(text: bytes, pat: bytes, counters=None) -> list[int]:
-    n = len(text)
-    m = len(pat)
-    out = []
-    if n < m:
-        return out
-    bad = bm_bad_char(pat)
-    gs = bm_good_suffix(pat)
-    comps = 0
-    aligns = 0
-    s = 0
-    while s <= n - m:
-        aligns += 1
-        j = m - 1
-        while j >= 0:
-            comps += 1
-            if text[s + j] != pat[j]:
-                break
-            j -= 1
-        if j < 0:
-            out.append(s)
-            s += gs[m]
-        else:
-            shift = gs[m - 1 - j]
-            bc = j - bad[text[s + j]]
-            if bc > shift:
-                shift = bc
-            if shift < 1:
-                shift = 1
-            s += shift
-    if counters is not None:
-        counters.comparisons += comps
-        counters.alignments += aligns
-    return out
 
 
 # ---------------------------------------------------------------------------

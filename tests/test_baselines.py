@@ -198,3 +198,42 @@ def test_matchers_agree_randomized(kernel):
         want = scan_oracle(body, pat)
         for name, fn in MATCHERS.items():
             assert fn(body, pat) == want, name
+
+
+# --- exact counts -------------------------------------------------------------------
+
+# Exact (comparisons, alignments, hash_hits) per matcher, recorded from the
+# scans as they stood before they moved into strsearch.baselines. Bounds
+# alone would let a changed loop through; these pin every add.
+PIN_DNA = random_body(random.Random(14), b"ACGT", 3000)
+PINNED_COUNTS = [
+    (b"mississippi", b"issi", [1, 4], {
+        "naive": (15, 8, 0), "kmp": (12, 0, 0), "rk": (8, 0, 2), "bm": (11, 4, 0)}),
+    (b"ab" * 500, b"abab", list(range(0, 997, 2)), {
+        "naive": (2494, 997, 0), "kmp": (1000, 0, 0), "rk": (1996, 0, 499), "bm": (1996, 499, 0)}),
+    (b"a" * 10, b"aaa", list(range(8)), {
+        "naive": (24, 8, 0), "kmp": (10, 0, 0), "rk": (24, 0, 8), "bm": (24, 8, 0)}),
+    (PIN_DNA, PIN_DNA[1200:1206], [730, 1128, 1200], {
+        "naive": (4004, 2995, 0), "kmp": (3742, 0, 0), "rk": (18, 0, 3), "bm": (1235, 863, 0)}),
+    (PIN_DNA, b"GATTACA", [2671], {
+        "naive": (4011, 2994, 0), "kmp": (3747, 0, 0), "rk": (7, 0, 1), "bm": (1117, 812, 0)}),
+]
+
+
+def test_matchers_pinned_counts(kernel):
+    assert PIN_DNA[1200:1206] == b"GACGAG"
+    for body, pat, matches, counts in PINNED_COUNTS:
+        for name, fn in MATCHERS.items():
+            c = Counters()
+            assert fn(body, pat, counters=c) == matches, (pat, name)
+            assert (c.comparisons, c.alignments, c.hash_hits) == counts[name], (pat, name)
+
+
+def test_rk_pinned_counts_under_collisions(kernel, monkeypatch):
+    # modulus 7 makes most hash hits false; each costs its verification
+    monkeypatch.setattr(baselines, "RK_MODULUS", 7)
+    for body, pat, matches, counts in ((b"mississippi", b"issi", [1, 4], (9, 0, 3)),
+                                       (PIN_DNA, b"GATTACA", [2671], (586, 0, 416))):
+        c = Counters()
+        assert rk_find_all(body, pat, counters=c) == matches
+        assert (c.comparisons, c.alignments, c.hash_hits) == counts

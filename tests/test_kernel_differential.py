@@ -2,7 +2,7 @@
 
 The C kernel (``strsearch._tree``) must answer every ``TreeKernel`` method
 and, through it, every public ``SuffixTreeIndex`` method exactly as the
-Python reference (``strsearch._pykernel``) does: the same value, or an
+Python reference (``tests/reference_tree.py``) does: the same value, or an
 exception of the same type. Each script below runs one sequence of calls,
 valid and invalid, on one kernel and logs every outcome; the two logs must
 be equal. A crash of the C kernel takes the test process down with it.
@@ -14,7 +14,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strsearch import Counters, _pykernel, _tree, build_suffix_tree, suffix_tree
+from strsearch import Counters, _tree, build_suffix_tree, suffix_tree
+
+import reference_tree
 
 ALPHABETS = {
     "dna": b"ACGT",
@@ -121,7 +123,7 @@ def body_and_patterns(draw, min_size):
 def test_kernels_agree_on_every_method(case, terminated, allow_implicit):
     body, patterns = case
     data = body + b"\x00" if terminated else body
-    want = kernel_script(_pykernel, data, allow_implicit, patterns)
+    want = kernel_script(reference_tree, data, allow_implicit, patterns)
     assert kernel_script(_tree, data, allow_implicit, patterns) == want
 
 
@@ -129,7 +131,7 @@ def test_kernels_agree_on_every_method(case, terminated, allow_implicit):
 @given(body_and_patterns(min_size=1))
 def test_kernels_agree_through_public_index(case):
     body, patterns = case
-    want = index_script(_pykernel, body, patterns)
+    want = index_script(reference_tree, body, patterns)
     assert index_script(_tree, body, patterns) == want
 
 
@@ -153,20 +155,20 @@ def test_kernels_agree_below_wide_depth_one_nodes(name):
         start = rng.randrange(len(body))
         patterns.append(body[start : start + rng.randint(1, 6)])
     for data, allow_implicit in ((body + b"\x00", False), (body[:2000], True)):
-        ref = _pykernel.TreeKernel(data)
+        ref = reference_tree.TreeKernel(data)
         ref.build(allow_implicit)
         fan_out = [
             len(ref.children_of(v)) for _, v in ref.children_of(0)
             if not ref.is_leaf(v) and ref.edge_span(v)[1] - ref.edge_span(v)[0] == 1
         ]
         assert max(fan_out) >= 64
-        want = kernel_script(_pykernel, data, allow_implicit, patterns)
+        want = kernel_script(reference_tree, data, allow_implicit, patterns)
         assert kernel_script(_tree, data, allow_implicit, patterns) == want
     assert len(set(body + b"\x00")) == len(symbols) + 1
 
 
 def test_kernels_reject_non_bytes_text():
     for arg in ("banana", bytearray(b"banana"), memoryview(b"banana"), 7, None):
-        want = outcome(_pykernel.TreeKernel, arg)
+        want = outcome(reference_tree.TreeKernel, arg)
         assert want == ("raised", TypeError)
         assert outcome(_tree.TreeKernel, arg) == want
