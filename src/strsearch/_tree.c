@@ -15,13 +15,14 @@
  * edge (fb), in int32 and uint8 arrays indexed by the reference itself:
  * leaves grow down from index -1, internal nodes up from 0, so a sibling
  * hop is one load whatever kind of node it lands on, and never reads the
- * text. Only internal nodes have an edge start (es), an edge end (ee), a
- * suffix link (sl), a first child (fc) and a path depth (depth, set when
- * the node is made), in arrays indexed by id. A leaf needs none of these:
- * the leaf of suffix j below node v starts its edge at j + depth[v], and
- * every walk that reaches a leaf comes from its parent; its edge ends at
- * the open frontier (n once finalized), its suffix link is the root, its
- * path depth is n - j and its leaf count 1. Sibling chains are sorted by
+ * text. Only internal nodes have a label position (lp), a suffix link
+ * (sl), a first child (fc) and a path depth (depth, set when the node is
+ * made), in arrays indexed by id; the leaf of suffix j has label position
+ * j. text[lp:lp + depth] is a node's path label, so the edge into node w
+ * below v runs from lp[w] + depth[v] to lp[w] + depth[w], and every walk
+ * that reaches w comes from v. A leaf's edge ends at the open frontier
+ * (n once finalized), its suffix link is the root, its path depth is
+ * n - j and its leaf count 1. Sibling chains are sorted by
  * first byte. The root keeps a 256-entry child table instead of a chain,
  * since on printable text it has about a hundred children. While Ukkonen's
  * pass runs, so do the nodes of path depth 1: build() ranks the sigma byte
@@ -47,8 +48,9 @@
 #include <string.h>
 
 /* Longest text accepted. Internal ids stay below n, leaf tags at or above
- * ~(n - 1) and edge ends at or below n, so int32 holds them all; the public
- * ids (up to 2n) are Python ints. Tests compile a small limit to reach it. */
+ * ~(n - 1) and label positions plus path depths at or below n, so int32
+ * holds them all; the public ids (up to 2n) are Python ints. Tests compile
+ * a small limit to reach it. */
 #ifndef STRSEARCH_MAX_TEXT
 #define STRSEARCH_MAX_TEXT INT32_MAX
 #endif
@@ -61,7 +63,7 @@ typedef struct {
     Py_ssize_t cap;           /* room for cap leaves and cap internal nodes */
     int32_t *ns;              /* by reference, from -cap on */
     uint8_t *fb;              /* by reference, from -cap on */
-    int32_t *es, *ee, *sl, *fc, *depth; /* by internal id */
+    int32_t *lp, *sl, *fc, *depth; /* by internal id */
     int32_t root[256];        /* child of the root by first byte, or 0 */
     int32_t *lo, *hi;         /* internal nodes, set by finalize */
     int32_t *leaves;          /* the suffix array, set by finalize */
@@ -93,11 +95,10 @@ new_leaf(TreeKernel *t, unsigned char first)
 }
 
 static int32_t
-new_internal(TreeKernel *t, int32_t start, int32_t end, int32_t depth, unsigned char first)
+new_internal(TreeKernel *t, int32_t label, int32_t depth, unsigned char first)
 {
     int32_t v = (int32_t)t->n_internal++;
-    t->es[v] = start;
-    t->ee[v] = end;
+    t->lp[v] = label;
     t->depth[v] = depth;
     t->sl[v] = 0;
     t->fc[v] = 0;
@@ -114,7 +115,7 @@ static Py_ssize_t
 ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
 {
     const unsigned char *d = t->d;
-    int32_t *es = t->es, *ee = t->ee, *sl = t->sl, *fc = t->fc, *ns = t->ns;
+    int32_t *lp = t->lp, *depth = t->depth, *sl = t->sl, *fc = t->fc, *ns = t->ns;
     uint8_t *fb = t->fb;
     int32_t n = (int32_t)t->n;
     int32_t active_node = 0, active_edge = 0, active_len = 0, remainder = 0;
@@ -168,8 +169,9 @@ ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
                 }
             }
             else {
-                int32_t start = nxt > 0 ? es[nxt] : ~nxt + active_depth;
-                int32_t edge_len = (nxt > 0 ? ee[nxt] : pos + 1) - start;
+                int32_t label = nxt > 0 ? lp[nxt] : ~nxt;
+                int32_t start = label + active_depth;
+                int32_t edge_len = nxt > 0 ? depth[nxt] - active_depth : pos + 1 - start;
                 if (active_len >= edge_len) {
                     /* canonicalize: hop over the whole edge. A leaf edge
                      * always reaches past the active point, so nxt is an
@@ -187,9 +189,9 @@ ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
                     active_len++;
                     break;
                 }
-                /* split the edge; the split node takes nxt's sibling slot */
-                int32_t split = new_internal(t, start, start + active_len,
-                                             active_depth + active_len, first);
+                /* split the edge; the split node takes nxt's sibling slot,
+                 * and its label is a prefix of nxt's, so it occurs there too */
+                int32_t split = new_internal(t, label, active_depth + active_len, first);
                 ns[split] = ns[nxt];
                 if (slot != NULL)
                     *slot = split;
@@ -197,8 +199,6 @@ ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
                     fc[active_node] = split;
                 else
                     ns[prev] = split;
-                if (nxt > 0)
-                    es[nxt] = start + active_len;  /* a leaf's start follows from its new parent */
                 unsigned char nb = d[start + active_len];
                 fb[nxt] = nb;
                 int32_t leaf = new_leaf(t, c_pos);
@@ -235,7 +235,7 @@ ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
     /* link each depth-1 node's children from its row, in byte order */
     for (int b = 0; b < 256; b++) {
         int32_t v = t->root[b];
-        if (v <= 0 || t->depth[v] != 1)
+        if (v <= 0 || depth[v] != 1)
             continue;
         const int32_t *row = &pair[rank[b] * sigma];
         int32_t chain = 0;
@@ -326,16 +326,15 @@ TreeKernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     uint8_t *fb = PyMem_New(uint8_t, 2 * cap);
     t->ns = ns ? ns + cap : NULL;
     t->fb = fb ? fb + cap : NULL;
-    t->es = PyMem_New(int32_t, cap);
-    t->ee = PyMem_New(int32_t, cap);
+    t->lp = PyMem_New(int32_t, cap);
     t->sl = PyMem_New(int32_t, cap);
     t->fc = PyMem_New(int32_t, cap);
     t->depth = PyMem_New(int32_t, cap);
-    if (!ns || !fb || !t->es || !t->ee || !t->sl || !t->fc || !t->depth) {
+    if (!ns || !fb || !t->lp || !t->sl || !t->fc || !t->depth) {
         Py_DECREF(t);
         return PyErr_NoMemory();
     }
-    new_internal(t, 0, 0, 0, 0);
+    new_internal(t, 0, 0, 0);
     t->n_nodes = 1;
     return (PyObject *)t;
 }
@@ -345,8 +344,7 @@ TreeKernel_dealloc(TreeKernel *t)
 {
     PyMem_Free(t->ns ? t->ns - t->cap : NULL);
     PyMem_Free(t->fb ? t->fb - t->cap : NULL);
-    PyMem_Free(t->es);
-    PyMem_Free(t->ee);
+    PyMem_Free(t->lp);
     PyMem_Free(t->sl);
     PyMem_Free(t->fc);
     PyMem_Free(t->depth);
@@ -399,8 +397,7 @@ TreeKernel_build(TreeKernel *t, PyObject *args, PyObject *kwds)
     Py_ssize_t cap = t->cap, internal = t->n_internal;
     t->ns = (int32_t *)shrink(t->ns - cap, (cap + internal) * sizeof(int32_t)) + cap;
     t->fb = (uint8_t *)shrink(t->fb - cap, cap + internal) + cap;
-    t->es = shrink(t->es, internal * sizeof(int32_t));
-    t->ee = shrink(t->ee, internal * sizeof(int32_t));
+    t->lp = shrink(t->lp, internal * sizeof(int32_t));
     t->sl = shrink(t->sl, internal * sizeof(int32_t));
     t->fc = shrink(t->fc, internal * sizeof(int32_t));
     t->depth = shrink(t->depth, internal * sizeof(int32_t));
@@ -491,8 +488,8 @@ walk(TreeKernel *t, PyObject *arg, int32_t *node, Py_ssize_t *off, Py_ssize_t *c
         if (w == 0)
             break;
         i++;
-        Py_ssize_t start = w > 0 ? t->es[w] : ~w + t->depth[v];
-        Py_ssize_t end = w > 0 ? t->ee[w] : t->n, k = start + 1;
+        Py_ssize_t label = w > 0 ? t->lp[w] : ~w, start = label + t->depth[v];
+        Py_ssize_t end = w > 0 ? label + t->depth[w] : t->n, k = start + 1;
         while (k < end && i < m) {
             c++;
             if (d[k] != pat[i])
@@ -694,13 +691,14 @@ TreeKernel_edge_span(TreeKernel *t, PyObject *arg)
     int32_t r;
     if (node_arg(t, arg, &r) < 0)
         return NULL;
-    if (r >= 0)
-        return Py_BuildValue("(ii)", (int)t->es[r], (int)t->ee[r]);
-    /* the leaf of suffix j: walk text[j:] down from the root to its parent v */
-    int32_t j = ~r, v = 0, w;
-    while ((w = child(t, v, t->d[j + t->depth[v]])) > 0)
+    if (r == 0)
+        return Py_BuildValue("(ii)", 0, 0);
+    /* walk r's path label down from the root to r's parent v */
+    int32_t label = r > 0 ? t->lp[r] : ~r, v = 0, w;
+    while ((w = child(t, v, t->d[label + t->depth[v]])) != r)
         v = w;
-    return Py_BuildValue("(in)", (int)(j + t->depth[v]), t->finalized ? t->n : (Py_ssize_t)-1);
+    Py_ssize_t end = r > 0 ? label + t->depth[r] : t->finalized ? t->n : -1;
+    return Py_BuildValue("(in)", (int)(label + t->depth[v]), end);
 }
 
 static PyObject *
@@ -798,10 +796,10 @@ PyInit__tree(void)
     PyObject *m = PyModule_Create(&tree_module);
     if (m == NULL)
         return NULL;
-    /* bytes per node once finalized: es, ns, fb, ee, sl, fc, depth, lo and
-     * hi for an internal node; ns, fb and a suffix-array entry for a leaf */
+    /* bytes per node once finalized: lp, ns, fb, sl, fc, depth, lo and hi
+     * for an internal node; ns, fb and a suffix-array entry for a leaf */
     if (PyModule_AddStringConstant(m, "NAME", "c") < 0 ||
-        PyModule_AddIntConstant(m, "INTERNAL_NODE_BYTES", 8 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
+        PyModule_AddIntConstant(m, "INTERNAL_NODE_BYTES", 7 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
         PyModule_AddIntConstant(m, "LEAF_NODE_BYTES", 2 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
         PyModule_AddObjectRef(m, "TreeKernel", (PyObject *)&TreeKernelType) < 0) {
         Py_DECREF(m);

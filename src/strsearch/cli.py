@@ -124,6 +124,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     if algo in MATCHERS:
         matches = MATCHERS[algo](text, pattern)
         count = len(matches)
+    elif text.body_len == 0:
+        # an index needs a body, and a non-empty pattern occurs in none
+        matches, count = [], 0
     elif args.count_only and algo == "stree":
         # only the tree counts without enumerating
         matches, count = [], INDEXES[algo](text.body).count(pattern)

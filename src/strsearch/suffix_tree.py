@@ -157,6 +157,12 @@ class SuffixTreeIndex:
         return self._k.children_of(node)
 
     def edge_span(self, node: int) -> tuple[int, int]:
+        """(start, end) of the edge into ``node``: its label is
+        ``text.data[start:end]``. A leaf's end is -1 before finalize().
+
+        No edge end is stored: every node but the root is found again by a
+        walk from the root along its path label, O(depth) per call. Only
+        tests and introspection call it."""
         return self._k.edge_span(node)
 
     def suffix_link_of(self, node: int) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from strsearch.bench import ALL_ALGORITHMS
 from strsearch.suffix_trie import BODY_CAP
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -50,6 +51,15 @@ def test_search_no_match_exit_code(tmp_path):
     r = run_cli("search", "--algo", "naive", "--text", str(path), "--pattern", "zzz")
     assert r.returncode == 1
     assert r.stdout == b"count: 0\n"
+
+
+@pytest.mark.parametrize("algo", ALL_ALGORITHMS)
+def test_search_empty_text_is_no_match(tmp_path, algo):
+    path = tmp_path / "empty.txt"
+    path.write_bytes(b"")
+    for extra in ((), ("--count-only",)):
+        r = run_cli("search", "--algo", algo, "--text", str(path), "--pattern", "a", *extra)
+        assert (r.returncode, r.stdout, r.stderr) == (1, b"count: 0\n", b""), (algo, extra)
 
 
 def test_search_empty_pattern_is_usage_error(mississippi):

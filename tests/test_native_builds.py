@@ -90,6 +90,29 @@ def test_text_size_guard(tmp_path):
     assert in_place_extensions() == before
 
 
+def test_in_place_build_compiles_older_source(tmp_path):
+    """`python setup.py build_ext --inplace` compiles an edited _tree.c even
+    when the file is older than the previous build, as after a copy."""
+    before = in_place_extensions()
+    copy = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy2(ROOT / name, copy / name)
+    build = [sys.executable, "setup.py", "build_ext", "--inplace"]
+    run(build, cwd=copy)
+    source = copy / "src" / "strsearch" / "_tree.c"
+    text = source.read_text()
+    edited = text.replace('"NAME", "c"', '"NAME", "edited"')
+    assert edited != text
+    source.write_text(edited)
+    os.utime(source, (946684800, 946684800))  # 2000-01-01, before the first build
+    run(build, cwd=copy)
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    proc = run([sys.executable, "-c", "from strsearch import _tree; print(_tree.NAME)"], cwd=copy, env=env)
+    assert proc.stdout.strip() == "edited"
+    assert in_place_extensions() == before
+
+
 SANITIZE = "-fsanitize=address,undefined -fno-sanitize-recover=all"
 
 

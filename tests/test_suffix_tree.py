@@ -279,8 +279,8 @@ def test_stats_report(tree_kernel):
     assert stats.leaf_count == 12
     assert stats.internal_count == 6
     assert stats.max_depth == 12
-    # 7 internal nodes (the root included) at 33 B, 12 leaves at 9 B
-    assert stats.logical_bytes == 7 * 33 + 12 * 9
+    # 7 internal nodes (the root included) at 29 B, 12 leaves at 9 B
+    assert stats.logical_bytes == 7 * 29 + 12 * 9
     assert tree_for(b"a").stats().node_count == 3
     assert tree_for(b"abab").stats().leaf_count == 5
 
