@@ -24,17 +24,24 @@
  * (n once finalized), its suffix link is the root, its path depth is
  * n - j and its leaf count 1. Sibling chains are sorted by
  * first byte. The root keeps a 256-entry child table instead of a chain,
- * since on printable text it has about a hundred children. While Ukkonen's
- * pass runs, so do the nodes of path depth 1: build() ranks the sigma byte
- * values that occur and lends the pass a sigma x sigma table of their
- * children, which the pass links into sorted chains at its end and build()
- * then frees. On printable text nearly all sibling hops of the pass would
- * otherwise be at those nodes. build() also gives back the room reserved
- * for internal nodes it did not make.
+ * since on printable text it has about a hundred children. So do the nodes
+ * of path depth 1, all of them root children: build() ranks the sigma byte
+ * values that occur and gives them a table (pair) of sigma rows, one per
+ * first byte, of sigma + 1 columns, the last one all zero; an absent byte
+ * ranks sigma, so a lookup there needs no branch. On printable text nearly
+ * all sibling hops would otherwise be at those nodes. The pass also links
+ * each row into a sorted chain at its end, so every node has a chain. The
+ * table stays for queries only while it holds at most as many cells as
+ * there are internal nodes, so never more bytes than the suffix links
+ * finalize() frees; build() drops it otherwise, and such a text's queries
+ * walk the chains (uniform printable text below about 4e4 bytes). build()
+ * also gives back the room reserved for internal nodes it did not make.
  *
- * finalize() is one iterative depth-first pass in byte order over the
- * internal nodes; of a leaf it reads only the sibling link. It fills the
- * suffix array (leaves: the leaves' suffix starts in lexicographic order)
+ * finalize() first frees the suffix links, which no query reads; a suffix
+ * link is then found again by a walk from the root. It is one iterative
+ * depth-first pass in byte order over the internal nodes; of a leaf it
+ * reads only the sibling link. It fills the suffix array (leaves: the
+ * leaves' suffix starts in lexicographic order)
  * and a leaf interval [lo, hi) per internal node: the leaves below v are
  * leaves[lo[v]:hi[v]]. A leaf count is then hi - lo, and enumeration is a
  * sorted copy of one slice.
@@ -63,8 +70,12 @@ typedef struct {
     Py_ssize_t cap;           /* room for cap leaves and cap internal nodes */
     int32_t *ns;              /* by reference, from -cap on */
     uint8_t *fb;              /* by reference, from -cap on */
-    int32_t *lp, *sl, *fc, *depth; /* by internal id */
+    int32_t *lp, *sl, *fc, *depth; /* by internal id; sl freed by finalize */
     int32_t root[256];        /* child of the root by first byte, or 0 */
+    int32_t *pair;            /* depth-1 child table, or NULL */
+    int32_t stride;           /* columns of pair: sigma + 1 */
+    uint8_t rank[256];        /* rank of each byte that occurs; sigma if absent */
+    Py_ssize_t table_bytes;   /* bytes of pair, 0 without it */
     int32_t *lo, *hi;         /* internal nodes, set by finalize */
     int32_t *leaves;          /* the suffix array, set by finalize */
     Py_ssize_t n_internal, n_built_leaves;
@@ -77,6 +88,8 @@ child(const TreeKernel *t, int32_t v, unsigned char b)
 {
     if (v == 0)
         return t->root[b];
+    if (t->pair != NULL && t->depth[v] == 1)
+        return t->pair[t->rank[t->fb[v]] * t->stride + t->rank[b]];
     int32_t w = t->fc[v];
     while (w != 0 && t->fb[w] < b)
         w = t->ns[w];
@@ -110,11 +123,13 @@ new_internal(TreeKernel *t, int32_t label, int32_t depth, unsigned char first)
 /* Ukkonen's pass over the whole text; returns the suffixes left pending.
  * The children of a node of path depth 1 live in its row of pair during
  * the pass: row rank[b] for the node on byte b, column rank[c] for the child
- * on byte c, sigma columns. The rows become sorted chains before it returns. */
+ * on byte c. The rows are also linked into sorted chains before it returns. */
 static Py_ssize_t
-ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
+ukkonen(TreeKernel *t)
 {
     const unsigned char *d = t->d;
+    const uint8_t *rank = t->rank;
+    int32_t *pair = t->pair, stride = t->stride;
     int32_t *lp = t->lp, *depth = t->depth, *sl = t->sl, *fc = t->fc, *ns = t->ns;
     uint8_t *fb = t->fb;
     int32_t n = (int32_t)t->n;
@@ -137,7 +152,7 @@ ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
             if (active_node == 0)
                 slot = &t->root[first];
             else if (active_depth == 1)
-                slot = &pair[rank[fb[active_node]] * sigma + rank[first]];
+                slot = &pair[rank[fb[active_node]] * stride + rank[first]];
             if (slot != NULL) {
                 nxt = *slot;
             }
@@ -204,7 +219,7 @@ ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
                 int32_t leaf = new_leaf(t, c_pos);
                 if (active_node == 0 && active_len == 1) {
                     /* the split node has path depth 1: its children go in its row */
-                    int32_t *row = &pair[rank[first] * sigma];
+                    int32_t *row = &pair[rank[first] * stride];
                     row[rank[nb]] = nxt;
                     row[rank[c_pos]] = leaf;
                 }
@@ -237,9 +252,9 @@ ukkonen(TreeKernel *t, const uint8_t *rank, int32_t sigma, int32_t *pair)
         int32_t v = t->root[b];
         if (v <= 0 || depth[v] != 1)
             continue;
-        const int32_t *row = &pair[rank[b] * sigma];
+        const int32_t *row = &pair[rank[b] * stride];
         int32_t chain = 0;
-        for (int32_t k = sigma - 1; k >= 0; k--) {
+        for (int32_t k = stride - 2; k >= 0; k--) {
             if (row[k] != 0) {
                 ns[row[k]] = chain;
                 chain = row[k];
@@ -351,6 +366,7 @@ TreeKernel_dealloc(TreeKernel *t)
     PyMem_Free(t->lo);
     PyMem_Free(t->hi);
     PyMem_Free(t->leaves);
+    PyMem_Free(t->pair);
     Py_XDECREF(t->text);
     Py_TYPE(t)->tp_free((PyObject *)t);
 }
@@ -371,26 +387,39 @@ TreeKernel_build(TreeKernel *t, PyObject *args, PyObject *kwds)
     int allow_implicit = 0;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "|p:build", kwlist, &allow_implicit))
         return NULL;
-    if (t->built || t->finalized) {
+    /* finalize() frees sl, so a kernel without it is finalized, or failed to */
+    if (t->built || t->sl == NULL) {
         PyErr_SetString(PyExc_RuntimeError,
                         t->built ? "kernel already built" : "kernel already finalized");
         return NULL;
     }
     /* rank the bytes that occur, for the depth-1 child table */
-    uint8_t seen[256] = {0}, rank[256];
+    uint8_t seen[256] = {0};
     for (Py_ssize_t i = 0; i < t->n; i++)
         seen[t->d[i]] = 1;
     int32_t sigma = 0;
     for (int b = 0; b < 256; b++) {
         if (seen[b])
-            rank[b] = (uint8_t)sigma++;
+            t->rank[b] = (uint8_t)sigma++;
     }
-    int32_t *pair = PyMem_Calloc((size_t)sigma * sigma, sizeof(int32_t));
-    if (pair == NULL)
+    for (int b = 0; b < 256; b++) {
+        if (!seen[b])
+            t->rank[b] = (uint8_t)sigma;  /* sigma < 256 here */
+    }
+    size_t cells = (size_t)sigma * (sigma + 1);
+    t->stride = sigma + 1;
+    t->pair = PyMem_Calloc(cells, sizeof(int32_t));
+    if (t->pair == NULL)
         return PyErr_NoMemory();
     t->built = 1;
-    Py_ssize_t pending = ukkonen(t, rank, sigma, pair);
-    PyMem_Free(pair);
+    Py_ssize_t pending = ukkonen(t);
+    if (cells <= (size_t)t->n_internal) {
+        t->table_bytes = cells * sizeof(int32_t);
+    }
+    else {
+        PyMem_Free(t->pair);
+        t->pair = NULL;
+    }
     t->n_nodes = t->n_internal + t->n_built_leaves;
     /* no node is made after build: keep only the internal nodes made, and
      * the leaf half of the by-reference blocks */
@@ -416,6 +445,10 @@ TreeKernel_finalize(TreeKernel *t, PyObject *Py_UNUSED(ignored))
         PyErr_SetString(PyExc_RuntimeError, "kernel already finalized");
         return NULL;
     }
+    /* no query reads a suffix link; free them before the arrays below are
+     * made, so the peak falls by as much */
+    PyMem_Free(t->sl);
+    t->sl = NULL;
     Py_ssize_t internal = t->n_internal;
     t->lo = PyMem_New(int32_t, internal);
     t->hi = PyMem_New(int32_t, internal);
@@ -441,11 +474,25 @@ TreeKernel_finalize(TreeKernel *t, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
+/* Raises strsearch.errors.<name>. The class is looked up here, on the
+ * error path, not at module init, so the module also loads on its own. */
+static void
+raise_library_error(const char *name, const char *message)
+{
+    PyObject *errors = PyImport_ImportModule("strsearch.errors");
+    PyObject *cls = errors != NULL ? PyObject_GetAttrString(errors, name) : NULL;
+    Py_XDECREF(errors);
+    if (cls != NULL) {
+        PyErr_SetString(cls, message);
+        Py_DECREF(cls);
+    }
+}
+
 static int
 require_finalized(const TreeKernel *t)
 {
     if (!t->finalized) {
-        PyErr_SetString(PyExc_RuntimeError, "finalize() the kernel before querying");
+        raise_library_error("NotFinalized", "finalize() the index before querying");
         return -1;
     }
     return 0;
@@ -460,7 +507,9 @@ public_id(const TreeKernel *t, int32_t r)
 /* Walk a pattern from the root; sets *node to the reference of the locus
  * (0 on a mismatch), *off and *comps as the reference TreeKernel.descend
  * in tests/reference_tree.py does.
- * Returns -1 with an exception set on a bad argument. */
+ * Returns -1 with an exception set before finalize() or on a bad argument:
+ * NotFinalized, TypeError, ValueError if empty, SentinelCollision if it
+ * holds a NUL, checked in that order. */
 static int
 walk(TreeKernel *t, PyObject *arg, int32_t *node, Py_ssize_t *off, Py_ssize_t *comps, Py_ssize_t *m_out)
 {
@@ -474,6 +523,10 @@ walk(TreeKernel *t, PyObject *arg, int32_t *node, Py_ssize_t *off, Py_ssize_t *c
     Py_ssize_t m = PyBytes_GET_SIZE(arg);
     if (m == 0) {
         PyErr_SetString(PyExc_ValueError, "empty pattern is not allowed");
+        return -1;
+    }
+    if (memchr(pat, 0, m) != NULL) {
+        raise_library_error("SentinelCollision", "pattern contains the text's sentinel byte");
         return -1;
     }
     *m_out = m;
@@ -707,7 +760,17 @@ TreeKernel_suffix_link_of(TreeKernel *t, PyObject *arg)
     int32_t r;
     if (node_arg(t, arg, &r) < 0)
         return NULL;
-    return PyLong_FromLong(r >= 0 ? t->sl[r] : 0);
+    if (r <= 0)
+        return PyLong_FromLong(0);
+    if (t->sl != NULL)
+        return PyLong_FromLong(t->sl[r]);
+    /* sl is freed: the link is the internal node one shorter than r on
+     * r's path label less its first byte, reached by whole edges */
+    const unsigned char *rest = t->d + t->lp[r] + 1;
+    int32_t v = 0;
+    while (t->depth[v] < t->depth[r] - 1)
+        v = child(t, v, rest[t->depth[v]]);
+    return PyLong_FromLong(v);
 }
 
 static PyObject *
@@ -763,6 +826,8 @@ static PyMemberDef TreeKernel_members[] = {
     {"n_leaves", T_PYSSIZET, offsetof(TreeKernel, n_leaves), READONLY, NULL},
     {"max_depth", T_PYSSIZET, offsetof(TreeKernel, max_depth), READONLY, NULL},
     {"build_steps", T_PYSSIZET, offsetof(TreeKernel, build_steps), READONLY, NULL},
+    {"table_bytes", T_PYSSIZET, offsetof(TreeKernel, table_bytes), READONLY,
+     "Bytes of the depth-1 child table kept for queries, 0 if it was dropped."},
     {"built", T_BOOL, offsetof(TreeKernel, built), READONLY, NULL},
     {"finalized", T_BOOL, offsetof(TreeKernel, finalized), READONLY, NULL},
     {NULL, 0, 0, 0, NULL},
@@ -796,10 +861,11 @@ PyInit__tree(void)
     PyObject *m = PyModule_Create(&tree_module);
     if (m == NULL)
         return NULL;
-    /* bytes per node once finalized: lp, ns, fb, sl, fc, depth, lo and hi
-     * for an internal node; ns, fb and a suffix-array entry for a leaf */
+    /* bytes per node once finalized: lp, ns, fb, fc, depth, lo and hi for
+     * an internal node (sl is freed); ns, fb and a suffix-array entry for a
+     * leaf. The depth-1 child table, if kept, adds table_bytes. */
     if (PyModule_AddStringConstant(m, "NAME", "c") < 0 ||
-        PyModule_AddIntConstant(m, "INTERNAL_NODE_BYTES", 7 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
+        PyModule_AddIntConstant(m, "INTERNAL_NODE_BYTES", 6 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
         PyModule_AddIntConstant(m, "LEAF_NODE_BYTES", 2 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
         PyModule_AddObjectRef(m, "TreeKernel", (PyObject *)&TreeKernelType) < 0) {
         Py_DECREF(m);

@@ -12,7 +12,16 @@ open leaf ends, lists the leaves' suffix starts in lexicographic order (the
 suffix array), and gives every internal node the interval of that list its
 subtree covers. Queries are only legal on a finalized index: counting an
 occurrence total is then a descent plus one interval length, and
-enumeration a sorted copy of the interval.
+enumeration a sorted copy of the interval. finalize() also frees the suffix
+links, which no query reads; suffix_link_of() then finds a link by a walk
+from the root.
+
+A descent finds the root's children in a table by byte, and those of the
+nodes of path depth 1 in a second table when it holds no more cells than
+the tree has internal nodes (so no more bytes than the freed links); every
+other child is found in its parent's sibling chain, sorted by first byte.
+Exact ``bytes`` patterns go to the kernel as they are, and the kernel checks
+them.
 
 Node ids: internal nodes take 0..I-1 in creation order, the root at 0, and
 the leaf of suffix j takes I + j.
@@ -35,8 +44,8 @@ except ImportError as exc:
         "in the source checkout (it needs a C compiler and the Python headers)"
     ) from exc
 
-from .core import SENTINEL, Counters, Pattern, Text, as_pattern, index_text
-from .errors import AlreadyFinalized, NotFinalized, SentinelCollision
+from .core import Counters, Pattern, Text, as_pattern, index_text
+from .errors import AlreadyFinalized, NotFinalized
 from .suffix_trie import IndexStats
 
 
@@ -74,15 +83,12 @@ class SuffixTreeIndex:
         if not self._k.finalized:
             raise NotFinalized("finalize() the index before querying")
 
-    def _query_bytes(self, pattern: Pattern | bytes | str) -> bytes:
-        if not self._k.finalized:
-            raise NotFinalized("finalize() the index before querying")
-        # exact bytes skip the Pattern wrapper: an empty one holds no NUL and
-        # gets the kernel's ValueError, as Pattern would raise it here
-        pat = pattern if type(pattern) is bytes else as_pattern(pattern).data
-        if SENTINEL in pat:
-            raise SentinelCollision("pattern contains the text's sentinel byte")
-        return pat
+    def _as_bytes(self, pattern: Pattern | str) -> bytes:
+        # the kernel takes exact bytes and checks them itself (NotFinalized,
+        # then ValueError if empty, then SentinelCollision); other inputs are
+        # converted here, after the same finalize check, so the order holds
+        self._require_finalized()
+        return as_pattern(pattern).data
 
     # -- queries ------------------------------------------------------------
 
@@ -92,8 +98,7 @@ class SuffixTreeIndex:
         Consumes at most one byte comparison per pattern byte. Returns None
         at the first mismatch.
         """
-        pat = self._query_bytes(pattern)
-        node, off, comps = self._k.descend(pat)
+        node, off, comps = self._k.descend(pattern if type(pattern) is bytes else self._as_bytes(pattern))
         if counters is not None:
             counters.comparisons += comps
         if node < 0:
@@ -102,13 +107,11 @@ class SuffixTreeIndex:
 
     def count(self, pattern: Pattern | bytes | str) -> int:
         """Occurrence count: leaf count of the locus subtree, no enumeration."""
-        pat = self._query_bytes(pattern)
-        return self._k.count(pat)
+        return self._k.count(pattern if type(pattern) is bytes else self._as_bytes(pattern))
 
     def find_all(self, pattern: Pattern | bytes | str) -> list[int]:
         """All occurrence start offsets, ascending."""
-        pat = self._query_bytes(pattern)
-        return self._k.collect(pat)
+        return self._k.collect(pattern if type(pattern) is bytes else self._as_bytes(pattern))
 
     # -- structure ----------------------------------------------------------
 
@@ -132,8 +135,8 @@ class SuffixTreeIndex:
 
     def stats(self) -> IndexStats:
         """Shape of the finalized tree; ``logical_bytes`` is what the C
-        kernel's node arrays hold for it, the root and the finalize arrays
-        included, from the kernel's own per-node sizes."""
+        kernel's node arrays hold for it, the root, the finalize arrays and
+        the depth-1 child table included, from the kernel's own sizes."""
         self._require_finalized()
         internal = self.internal_count
         leaves = self.leaf_count_total
@@ -142,7 +145,8 @@ class SuffixTreeIndex:
             internal_count=internal,
             leaf_count=leaves,
             max_depth=self._k.max_depth,
-            logical_bytes=(internal + 1) * INTERNAL_NODE_BYTES + leaves * LEAF_NODE_BYTES,
+            logical_bytes=(internal + 1) * INTERNAL_NODE_BYTES + leaves * LEAF_NODE_BYTES
+            + self._k.table_bytes,
         )
 
     # -- introspection (used by invariant checks and tooling) ----------------
@@ -166,6 +170,10 @@ class SuffixTreeIndex:
         return self._k.edge_span(node)
 
     def suffix_link_of(self, node: int) -> int:
+        """The internal node whose path label is ``node``'s less its first
+        byte; 0 (the root) for the root and for leaves. Once finalized, no
+        link is stored: it is found by a walk from the root along that
+        label, O(depth) per call. Only tests and introspection call it."""
         return self._k.suffix_link_of(node)
 
     def suffix_index_of(self, node: int) -> int:

@@ -2,13 +2,17 @@
 
 ``TreeKernel`` builds the same tree as the C kernel ``strsearch._tree``,
 node for node, and answers every method the same way; the differential
-tests compare the two. Inputs are plain ``bytes``; validation and type
-wrapping happen in ``strsearch.suffix_tree``.
+tests compare the two. Inputs are plain ``bytes``; type wrapping happens
+in ``strsearch.suffix_tree``. Queries raise the library's errors as the C
+kernel does: ``NotFinalized``, then ``ValueError`` for an empty pattern,
+then ``SentinelCollision`` for one that holds a NUL.
 """
 
 from __future__ import annotations
 
 import gc
+
+from strsearch.errors import NotFinalized, SentinelCollision
 
 NAME = "py"
 
@@ -39,7 +43,7 @@ class TreeKernel:
         "edge_start", "edge_end", "slink", "children", "leaf_start",
         "leaf_depth", "leaf_count", "path_depth",
         "n_leaves", "max_depth",
-        "build_steps", "built", "finalized",
+        "build_steps", "table_bytes", "built", "finalized",
     )
 
     def __init__(self, data: bytes):
@@ -61,6 +65,7 @@ class TreeKernel:
         self.n_leaves = 0
         self.max_depth = 0
         self.build_steps = 0
+        self.table_bytes = 0
         self.built = False
         self.finalized = False
 
@@ -175,6 +180,11 @@ class TreeKernel:
                     active_node = sl[active_node]
 
         self.build_steps = steps
+        # the C kernel keeps a 4-byte cell for each (depth-1 node, byte) pair
+        # while there are no more cells than internal nodes
+        sigma = len(set(data))
+        if sigma * (sigma + 1) <= len(es):
+            self.table_bytes = 4 * sigma * (sigma + 1)
         if remainder != 0 and not allow_implicit:
             raise RuntimeError("construction left pending suffixes; text lacks a unique terminator")
 
@@ -222,6 +232,8 @@ class TreeKernel:
         self._require_finalized()
         if not pat:
             raise ValueError("empty pattern is not allowed")
+        if 0 in pat:
+            raise SentinelCollision("pattern contains the text's sentinel byte")
         data = self.data
         es = self.edge_start
         ee = self.edge_end
@@ -299,7 +311,7 @@ class TreeKernel:
 
     def _require_finalized(self) -> None:
         if not self.finalized:
-            raise RuntimeError("finalize() the kernel before querying")
+            raise NotFinalized("finalize() the index before querying")
 
     def _public(self, ref: int) -> int:
         return ref if ref >= 0 else len(self.edge_start) + ~ref

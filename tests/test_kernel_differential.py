@@ -137,8 +137,13 @@ def test_kernels_agree_through_public_index(case):
 
 # Hypothesis bodies are too short to give a node of path depth 1 many
 # children; these bodies are not. "every byte" makes, with the sentinel, all
-# 256 byte values occur.
-WIDE_SYMBOLS = {"printable": ALPHABETS["printable"], "every byte": bytes(range(1, 256))}
+# 256 byte values occur. Only "twenty" has few enough symbols for the C
+# kernel to keep its depth-1 child table at this size.
+WIDE_SYMBOLS = {
+    "printable": ALPHABETS["printable"],
+    "every byte": bytes(range(1, 256)),
+    "twenty": b"abcdefghijklmnopqrst",
+}
 
 
 @pytest.mark.parametrize("name", sorted(WIDE_SYMBOLS))
@@ -154,6 +159,10 @@ def test_kernels_agree_below_wide_depth_one_nodes(name):
     for _ in range(12):
         start = rng.randrange(len(body))
         patterns.append(body[start : start + rng.randint(1, 6)])
+    # the hub's depth-1 node followed by every byte of the text, one it
+    # lacks if any, and NUL: every column of the hub's table row
+    absent = sorted(set(range(1, 256)) - set(symbols))[:1]
+    patterns += [bytes([hub, b]) for b in (*symbols, *absent, 0)]
     for data, allow_implicit in ((body + b"\x00", False), (body[:2000], True)):
         ref = reference_tree.TreeKernel(data)
         ref.build(allow_implicit)
@@ -161,9 +170,12 @@ def test_kernels_agree_below_wide_depth_one_nodes(name):
             len(ref.children_of(v)) for _, v in ref.children_of(0)
             if not ref.is_leaf(v) and ref.edge_span(v)[1] - ref.edge_span(v)[0] == 1
         ]
-        assert max(fan_out) >= 64
+        assert max(fan_out) >= min(64, len(symbols))
         want = kernel_script(reference_tree, data, allow_implicit, patterns)
         assert kernel_script(_tree, data, allow_implicit, patterns) == want
+        k = _tree.TreeKernel(data)
+        k.build(allow_implicit)
+        assert (k.table_bytes > 0) == (name == "twenty")
     assert len(set(body + b"\x00")) == len(symbols) + 1
 
 

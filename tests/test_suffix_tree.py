@@ -279,8 +279,11 @@ def test_stats_report(tree_kernel):
     assert stats.leaf_count == 12
     assert stats.internal_count == 6
     assert stats.max_depth == 12
-    # 7 internal nodes (the root included) at 29 B, 12 leaves at 9 B
-    assert stats.logical_bytes == 7 * 29 + 12 * 9
+    # 7 internal nodes (the root included) at 25 B, 12 leaves at 9 B; the
+    # suffix links are freed, and 5 bytes (the NUL included) would need a
+    # depth-1 child table of 5 * 6 cells, more than the 7 internal nodes,
+    # so none is kept
+    assert stats.logical_bytes == 7 * 25 + 12 * 9
     assert tree_for(b"a").stats().node_count == 3
     assert tree_for(b"abab").stats().leaf_count == 5
 
@@ -299,6 +302,29 @@ def test_stats_logical_bytes_match_allocation():
         finally:
             tracemalloc.stop()
         assert abs(held / index.stats().logical_bytes - 1) < 0.05, (held, index.stats())
+
+
+def test_suffix_links_survive_finalize(tree_kernel):
+    # finalize() frees the C kernel's suffix links; suffix_link_of then walks
+    # from the root and must find the link it stored, for terminated and
+    # implicit trees, with the depth-1 child table kept or dropped
+    rng = random.Random(2121)
+    dna, printable = (random_body(rng, s, 3000) for s in (b"ACGT", bytes(range(32, 127))))
+    cases = [
+        (dna + b"\x00", False, True),
+        (dna[:1500], True, True),
+        (printable + b"\x00", False, False),
+        (printable[:2000], True, False),
+        (b"mississippi\x00", False, False),
+    ]
+    for data, implicit, table in cases:
+        k = tree_kernel.TreeKernel(data)
+        k.build(implicit)
+        assert (k.table_bytes > 0) == table
+        links = [k.suffix_link_of(v) for v in range(k.n_nodes)]
+        k.finalize()
+        assert [k.suffix_link_of(v) for v in range(k.n_nodes)] == links
+        assert any(links)
 
 
 def test_leaf_edge_start_is_suffix_plus_parent_depth(tree_kernel):
