@@ -11,19 +11,19 @@
  * a child reference r names internal node r when r > 0 and leaf ~r when
  * r < 0; 0 means none, since the root is nobody's child or sibling.
  *
- * Layout. Every node has a next sibling (ns) and the first byte of its
- * edge (fb), in int32 and uint8 arrays indexed by the reference itself:
- * leaves grow down from index -1, internal nodes up from 0, so a sibling
- * hop is one load whatever kind of node it lands on, and never reads the
- * text. Only internal nodes have a label position (lp), a suffix link
- * (sl), a first child (fc) and a path depth (depth, set when the node is
- * made), in arrays indexed by id; the leaf of suffix j has label position
- * j. text[lp:lp + depth] is a node's path label, so the edge into node w
- * below v runs from lp[w] + depth[v] to lp[w] + depth[w], and every walk
- * that reaches w comes from v. A leaf's edge ends at the open frontier
- * (n once finalized), its suffix link is the root, its path depth is
- * n - j and its leaf count 1. Sibling chains are sorted by
- * first byte. The root keeps a 256-entry child table instead of a chain,
+ * Layout. Every node has a next sibling (ns), in an int32 array indexed by
+ * the reference itself: leaves grow down from index -1, internal nodes up
+ * from 0, so a sibling hop is one load whatever kind of node it lands on.
+ * Only internal nodes have the first byte of their edge (fb), a label
+ * position (lp), a suffix link (sl), a first child (fc) and a path depth
+ * (depth, set when the node is made), in arrays indexed by id; the leaf of
+ * suffix j has label position j. text[lp:lp + depth] is a node's path
+ * label, so the edge into node w below v runs from lp[w] + depth[v] to
+ * lp[w] + depth[w], and every walk that reaches w comes from v; a leaf's
+ * first byte is read from the text there, as it costs one load either way.
+ * A leaf's edge ends at the open frontier (n once finalized), its suffix
+ * link is the root, its path depth is n - j and its leaf count 1. Sibling
+ * chains are sorted by first byte. The root keeps a 256-entry child table instead of a chain,
  * since on printable text it has about a hundred children. So do the nodes
  * of path depth 1, all of them root children: build() ranks the sigma byte
  * values that occur and gives them a table (pair) of sigma rows, one per
@@ -69,7 +69,7 @@ typedef struct {
     Py_ssize_t n;             /* len(text) */
     Py_ssize_t cap;           /* room for cap leaves and cap internal nodes */
     int32_t *ns;              /* by reference, from -cap on */
-    uint8_t *fb;              /* by reference, from -cap on */
+    uint8_t *fb;              /* by internal id */
     int32_t *lp, *sl, *fc, *depth; /* by internal id; sl freed by finalize */
     int32_t root[256];        /* child of the root by first byte, or 0 */
     int32_t *pair;            /* depth-1 child table, or NULL */
@@ -83,6 +83,14 @@ typedef struct {
     char built, finalized;
 } TreeKernel;
 
+/* First byte of the edge into w, a child of a node of path depth dv; a
+ * leaf's edge starts at its suffix plus dv. */
+static inline unsigned char
+first_byte(const TreeKernel *t, int32_t w, int32_t dv)
+{
+    return w > 0 ? t->fb[w] : t->d[~w + dv];
+}
+
 static int32_t
 child(const TreeKernel *t, int32_t v, unsigned char b)
 {
@@ -90,20 +98,19 @@ child(const TreeKernel *t, int32_t v, unsigned char b)
         return t->root[b];
     if (t->pair != NULL && t->depth[v] == 1)
         return t->pair[t->rank[t->fb[v]] * t->stride + t->rank[b]];
-    int32_t w = t->fc[v];
-    while (w != 0 && t->fb[w] < b)
+    int32_t w = t->fc[v], dv = t->depth[v];
+    while (w != 0 && first_byte(t, w, dv) < b)
         w = t->ns[w];
-    return (w != 0 && t->fb[w] == b) ? w : 0;
+    return (w != 0 && first_byte(t, w, dv) == b) ? w : 0;
 }
 
 /* ---- construction ------------------------------------------------------ */
 
 static int32_t
-new_leaf(TreeKernel *t, unsigned char first)
+new_leaf(TreeKernel *t)
 {
     int32_t j = (int32_t)t->n_built_leaves++;
     t->ns[~j] = 0;
-    t->fb[~j] = first;
     return ~j;
 }
 
@@ -158,16 +165,16 @@ ukkonen(TreeKernel *t)
             }
             else {
                 nxt = fc[active_node];
-                while (nxt != 0 && fb[nxt] < first) {
+                while (nxt != 0 && first_byte(t, nxt, active_depth) < first) {
                     prev = nxt;
                     nxt = ns[nxt];
                 }
-                if (nxt != 0 && fb[nxt] != first)
+                if (nxt != 0 && first_byte(t, nxt, active_depth) != first)
                     nxt = 0;
             }
             if (nxt == 0) {
                 /* new leaf edge hanging off an existing node */
-                int32_t leaf = new_leaf(t, first);
+                int32_t leaf = new_leaf(t);
                 if (slot != NULL)
                     *slot = leaf;
                 else if (prev == 0) {
@@ -215,8 +222,9 @@ ukkonen(TreeKernel *t)
                 else
                     ns[prev] = split;
                 unsigned char nb = d[start + active_len];
-                fb[nxt] = nb;
-                int32_t leaf = new_leaf(t, c_pos);
+                if (nxt > 0)
+                    fb[nxt] = nb;
+                int32_t leaf = new_leaf(t);
                 if (active_node == 0 && active_len == 1) {
                     /* the split node has path depth 1: its children go in its row */
                     int32_t *row = &pair[rank[first] * stride];
@@ -338,14 +346,13 @@ TreeKernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     Py_ssize_t cap = n + 1;
     t->cap = cap;
     int32_t *ns = PyMem_New(int32_t, 2 * cap);
-    uint8_t *fb = PyMem_New(uint8_t, 2 * cap);
     t->ns = ns ? ns + cap : NULL;
-    t->fb = fb ? fb + cap : NULL;
+    t->fb = PyMem_New(uint8_t, cap);
     t->lp = PyMem_New(int32_t, cap);
     t->sl = PyMem_New(int32_t, cap);
     t->fc = PyMem_New(int32_t, cap);
     t->depth = PyMem_New(int32_t, cap);
-    if (!ns || !fb || !t->lp || !t->sl || !t->fc || !t->depth) {
+    if (!ns || !t->fb || !t->lp || !t->sl || !t->fc || !t->depth) {
         Py_DECREF(t);
         return PyErr_NoMemory();
     }
@@ -358,7 +365,7 @@ static void
 TreeKernel_dealloc(TreeKernel *t)
 {
     PyMem_Free(t->ns ? t->ns - t->cap : NULL);
-    PyMem_Free(t->fb ? t->fb - t->cap : NULL);
+    PyMem_Free(t->fb);
     PyMem_Free(t->lp);
     PyMem_Free(t->sl);
     PyMem_Free(t->fc);
@@ -422,10 +429,10 @@ TreeKernel_build(TreeKernel *t, PyObject *args, PyObject *kwds)
     }
     t->n_nodes = t->n_internal + t->n_built_leaves;
     /* no node is made after build: keep only the internal nodes made, and
-     * the leaf half of the by-reference blocks */
+     * the leaf half of the by-reference block */
     Py_ssize_t cap = t->cap, internal = t->n_internal;
     t->ns = (int32_t *)shrink(t->ns - cap, (cap + internal) * sizeof(int32_t)) + cap;
-    t->fb = (uint8_t *)shrink(t->fb - cap, cap + internal) + cap;
+    t->fb = shrink(t->fb, internal);
     t->lp = shrink(t->lp, internal * sizeof(int32_t));
     t->sl = shrink(t->sl, internal * sizeof(int32_t));
     t->fc = shrink(t->fc, internal * sizeof(int32_t));
@@ -731,7 +738,7 @@ TreeKernel_children_of(TreeKernel *t, PyObject *arg)
     }
     else if (r > 0) {
         for (int32_t w = t->fc[r]; rc == 0 && w != 0; w = t->ns[w])
-            rc = append_child(out, t, t->fb[w], w);
+            rc = append_child(out, t, first_byte(t, w, t->depth[r]), w);
     }
     if (rc < 0)
         Py_CLEAR(out);
@@ -862,11 +869,11 @@ PyInit__tree(void)
     if (m == NULL)
         return NULL;
     /* bytes per node once finalized: lp, ns, fb, fc, depth, lo and hi for
-     * an internal node (sl is freed); ns, fb and a suffix-array entry for a
+     * an internal node (sl is freed); ns and a suffix-array entry for a
      * leaf. The depth-1 child table, if kept, adds table_bytes. */
     if (PyModule_AddStringConstant(m, "NAME", "c") < 0 ||
         PyModule_AddIntConstant(m, "INTERNAL_NODE_BYTES", 6 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
-        PyModule_AddIntConstant(m, "LEAF_NODE_BYTES", 2 * sizeof(int32_t) + sizeof(uint8_t)) < 0 ||
+        PyModule_AddIntConstant(m, "LEAF_NODE_BYTES", 2 * sizeof(int32_t)) < 0 ||
         PyModule_AddObjectRef(m, "TreeKernel", (PyObject *)&TreeKernelType) < 0) {
         Py_DECREF(m);
         return NULL;

@@ -279,11 +279,11 @@ def test_stats_report(tree_kernel):
     assert stats.leaf_count == 12
     assert stats.internal_count == 6
     assert stats.max_depth == 12
-    # 7 internal nodes (the root included) at 25 B, 12 leaves at 9 B; the
-    # suffix links are freed, and 5 bytes (the NUL included) would need a
+    # 7 internal nodes (the root included) at 25 B, 12 leaves at 8 B; the
+    # suffix links and leaf first bytes are not kept, and 5 bytes (the NUL included) would need a
     # depth-1 child table of 5 * 6 cells, more than the 7 internal nodes,
     # so none is kept
-    assert stats.logical_bytes == 7 * 25 + 12 * 9
+    assert stats.logical_bytes == 7 * 25 + 12 * 8
     assert tree_for(b"a").stats().node_count == 3
     assert tree_for(b"abab").stats().leaf_count == 5
 
