@@ -11,40 +11,42 @@
  * a child reference r names internal node r when r > 0 and leaf ~r when
  * r < 0; 0 means none, since the root is nobody's child or sibling.
  *
- * Layout. Every node has a next sibling (ns), in an int32 array indexed by
- * the reference itself: leaves grow down from index -1, internal nodes up
- * from 0, so a sibling hop is one load whatever kind of node it lands on.
- * Only internal nodes have the first byte of their edge (fb), a label
- * position (lp), a suffix link (sl), a first child (fc) and a path depth
- * (depth, set when the node is made), in arrays indexed by id; the leaf of
- * suffix j has label position j. text[lp:lp + depth] is a node's path
- * label, so the edge into node w below v runs from lp[w] + depth[v] to
- * lp[w] + depth[w], and every walk that reaches w comes from v; a leaf's
- * first byte is read from the text there, as it costs one load either way.
- * A leaf's edge ends at the open frontier (n once finalized), its suffix
- * link is the root, its path depth is n - j and its leaf count 1. Sibling
- * chains are sorted by first byte. The root keeps a 256-entry child table instead of a chain,
- * since on printable text it has about a hundred children. So do the nodes
- * of path depth 1, all of them root children: build() ranks the sigma byte
- * values that occur and gives them a table (pair) of sigma rows, one per
- * first byte, of sigma + 1 columns, the last one all zero; an absent byte
- * ranks sigma, so a lookup there needs no branch. On printable text nearly
- * all sibling hops would otherwise be at those nodes. The pass also links
- * each row into a sorted chain at its end, so every node has a chain. The
- * table stays for queries only while it holds at most as many cells as
- * there are internal nodes, so never more bytes than the suffix links
- * finalize() frees; build() drops it otherwise, and such a text's queries
- * walk the chains (uniform printable text below about 4e4 bytes). build()
- * also gives back the room reserved for internal nodes it did not make.
+ * Layout. Every node has a next sibling (ns) and the first byte of its
+ * edge (fb), in int32 and uint8 arrays indexed by the reference itself:
+ * leaves grow down from index -1, internal nodes up from 0, so a sibling
+ * hop of Ukkonen's pass is one load whatever kind of node it lands on, and
+ * never reads the text. Only internal nodes have a label position (lp), a
+ * suffix link (sl), a first child (fc) and a path depth (depth, set when
+ * the node is made), in arrays indexed by id; the leaf of suffix j has
+ * label position j. text[lp:lp + depth] is a node's path label, so the edge
+ * into node w below v runs from lp[w] + depth[v] to lp[w] + depth[w], and
+ * every walk that reaches w comes from v. A leaf's edge ends at the open
+ * frontier (n once finalized), its suffix link is the root, its path depth
+ * is n - j and its leaf count 1. Sibling chains are sorted by first byte.
+ * Queries read a leaf's first byte from the text, at its suffix plus its
+ * parent's depth, so finalize() drops the leaf half of fb. The root keeps
+ * a 256-entry child table instead of a chain, since on printable text it
+ * has about a hundred children. So do the nodes of path depth 1, all of
+ * them root children: build() ranks the sigma byte values that occur and
+ * gives them a table (pair) of sigma rows, one per first byte, of
+ * sigma + 1 columns, the last one all zero; an absent byte ranks sigma, so
+ * a lookup there needs no branch. On printable text nearly all sibling
+ * hops would otherwise be at those nodes. The pass also links each row into
+ * a sorted chain at its end, so every node has a chain. The table stays
+ * for queries only while it holds at most as many cells as there are
+ * internal nodes, so never more bytes than the suffix links finalize()
+ * frees; build() drops it otherwise, and such a text's queries walk the
+ * chains (uniform printable text below about 4e4 bytes). build() also
+ * gives back the room reserved for internal nodes it did not make.
  *
  * finalize() first frees the suffix links, which no query reads; a suffix
  * link is then found again by a walk from the root. It is one iterative
  * depth-first pass in byte order over the internal nodes; of a leaf it
  * reads only the sibling link. It fills the suffix array (leaves: the
- * leaves' suffix starts in lexicographic order)
- * and a leaf interval [lo, hi) per internal node: the leaves below v are
- * leaves[lo[v]:hi[v]]. A leaf count is then hi - lo, and enumeration is a
- * sorted copy of one slice.
+ * leaves' suffix starts in lexicographic order) and a leaf interval
+ * [lo, hi) per internal node: the leaves below v are leaves[lo[v]:hi[v]].
+ * A leaf count is then hi - lo, and enumeration is a sorted copy of one
+ * slice.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -69,7 +71,8 @@ typedef struct {
     Py_ssize_t n;             /* len(text) */
     Py_ssize_t cap;           /* room for cap leaves and cap internal nodes */
     int32_t *ns;              /* by reference, from -cap on */
-    uint8_t *fb;              /* by internal id */
+    uint8_t *fb;              /* by reference, from fb_from on */
+    Py_ssize_t fb_from;       /* -cap, or 0 once finalize drops the leaf half */
     int32_t *lp, *sl, *fc, *depth; /* by internal id; sl freed by finalize */
     int32_t root[256];        /* child of the root by first byte, or 0 */
     int32_t *pair;            /* depth-1 child table, or NULL */
@@ -83,8 +86,9 @@ typedef struct {
     char built, finalized;
 } TreeKernel;
 
-/* First byte of the edge into w, a child of a node of path depth dv; a
- * leaf's edge starts at its suffix plus dv. */
+/* First byte of the edge into w, a child of a node of path depth dv, also
+ * once finalize() has dropped the leaves' fb: a leaf's edge starts at its
+ * suffix plus dv. */
 static inline unsigned char
 first_byte(const TreeKernel *t, int32_t w, int32_t dv)
 {
@@ -107,10 +111,11 @@ child(const TreeKernel *t, int32_t v, unsigned char b)
 /* ---- construction ------------------------------------------------------ */
 
 static int32_t
-new_leaf(TreeKernel *t)
+new_leaf(TreeKernel *t, unsigned char first)
 {
     int32_t j = (int32_t)t->n_built_leaves++;
     t->ns[~j] = 0;
+    t->fb[~j] = first;
     return ~j;
 }
 
@@ -165,16 +170,16 @@ ukkonen(TreeKernel *t)
             }
             else {
                 nxt = fc[active_node];
-                while (nxt != 0 && first_byte(t, nxt, active_depth) < first) {
+                while (nxt != 0 && fb[nxt] < first) {
                     prev = nxt;
                     nxt = ns[nxt];
                 }
-                if (nxt != 0 && first_byte(t, nxt, active_depth) != first)
+                if (nxt != 0 && fb[nxt] != first)
                     nxt = 0;
             }
             if (nxt == 0) {
                 /* new leaf edge hanging off an existing node */
-                int32_t leaf = new_leaf(t);
+                int32_t leaf = new_leaf(t, first);
                 if (slot != NULL)
                     *slot = leaf;
                 else if (prev == 0) {
@@ -222,9 +227,8 @@ ukkonen(TreeKernel *t)
                 else
                     ns[prev] = split;
                 unsigned char nb = d[start + active_len];
-                if (nxt > 0)
-                    fb[nxt] = nb;
-                int32_t leaf = new_leaf(t);
+                fb[nxt] = nb;
+                int32_t leaf = new_leaf(t, c_pos);
                 if (active_node == 0 && active_len == 1) {
                     /* the split node has path depth 1: its children go in its row */
                     int32_t *row = &pair[rank[first] * stride];
@@ -346,13 +350,15 @@ TreeKernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     Py_ssize_t cap = n + 1;
     t->cap = cap;
     int32_t *ns = PyMem_New(int32_t, 2 * cap);
+    uint8_t *fb = PyMem_New(uint8_t, 2 * cap);
     t->ns = ns ? ns + cap : NULL;
-    t->fb = PyMem_New(uint8_t, cap);
+    t->fb = fb ? fb + cap : NULL;
+    t->fb_from = -cap;
     t->lp = PyMem_New(int32_t, cap);
     t->sl = PyMem_New(int32_t, cap);
     t->fc = PyMem_New(int32_t, cap);
     t->depth = PyMem_New(int32_t, cap);
-    if (!ns || !t->fb || !t->lp || !t->sl || !t->fc || !t->depth) {
+    if (!ns || !fb || !t->lp || !t->sl || !t->fc || !t->depth) {
         Py_DECREF(t);
         return PyErr_NoMemory();
     }
@@ -365,7 +371,7 @@ static void
 TreeKernel_dealloc(TreeKernel *t)
 {
     PyMem_Free(t->ns ? t->ns - t->cap : NULL);
-    PyMem_Free(t->fb);
+    PyMem_Free(t->fb ? t->fb + t->fb_from : NULL);
     PyMem_Free(t->lp);
     PyMem_Free(t->sl);
     PyMem_Free(t->fc);
@@ -429,10 +435,10 @@ TreeKernel_build(TreeKernel *t, PyObject *args, PyObject *kwds)
     }
     t->n_nodes = t->n_internal + t->n_built_leaves;
     /* no node is made after build: keep only the internal nodes made, and
-     * the leaf half of the by-reference block */
+     * the leaf half of the by-reference blocks */
     Py_ssize_t cap = t->cap, internal = t->n_internal;
     t->ns = (int32_t *)shrink(t->ns - cap, (cap + internal) * sizeof(int32_t)) + cap;
-    t->fb = shrink(t->fb, internal);
+    t->fb = (uint8_t *)shrink(t->fb - cap, cap + internal) + cap;
     t->lp = shrink(t->lp, internal * sizeof(int32_t));
     t->sl = shrink(t->sl, internal * sizeof(int32_t));
     t->fc = shrink(t->fc, internal * sizeof(int32_t));
@@ -452,11 +458,14 @@ TreeKernel_finalize(TreeKernel *t, PyObject *Py_UNUSED(ignored))
         PyErr_SetString(PyExc_RuntimeError, "kernel already finalized");
         return NULL;
     }
-    /* no query reads a suffix link; free them before the arrays below are
-     * made, so the peak falls by as much */
+    /* no query reads a suffix link or a leaf's fb: drop them before the
+     * arrays below are made, so the peak falls by as much */
     PyMem_Free(t->sl);
     t->sl = NULL;
     Py_ssize_t internal = t->n_internal;
+    uint8_t *fb = memmove(t->fb + t->fb_from, t->fb, internal);
+    t->fb = shrink(fb, internal);
+    t->fb_from = 0;
     t->lo = PyMem_New(int32_t, internal);
     t->hi = PyMem_New(int32_t, internal);
     t->leaves = PyMem_New(int32_t, t->n_built_leaves + 1);
