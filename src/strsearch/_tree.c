@@ -30,14 +30,17 @@
  * them root children: build() ranks the sigma byte values that occur and
  * gives them a table (pair) of sigma rows, one per first byte, of
  * sigma + 1 columns, the last one all zero; an absent byte ranks sigma, so
- * a lookup there needs no branch. On printable text nearly all sibling
- * hops would otherwise be at those nodes. The pass also links each row into
- * a sorted chain at its end, so every node has a chain. The table stays
- * for queries only while it holds at most as many cells as there are
- * internal nodes, so never more bytes than the suffix links finalize()
- * frees; build() drops it otherwise, and such a text's queries walk the
- * chains (uniform printable text below about 4e4 bytes). build() also
- * gives back the room reserved for internal nodes it did not make.
+ * a lookup there needs no branch; row_of(b) is the row of the root child on
+ * byte b. On printable text nearly all sibling hops would otherwise be at
+ * those nodes. In the pass, slot_of gives the cell that holds a child: in
+ * the root's table, its parent's row, or its parent's chain. The pass also
+ * links each row into a sorted chain at its end, so every node has a
+ * chain. The table stays for queries only while it holds at most as many
+ * cells as there are internal nodes, so never more bytes than the suffix
+ * links finalize() frees; build() drops it otherwise, and such a text's
+ * queries walk the chains (uniform printable text below about 4e4 bytes).
+ * build() also gives back the room reserved for internal nodes it did not
+ * make.
  *
  * finalize() first frees the suffix links, which no query reads; a suffix
  * link is then found again by a walk from the root. It is one iterative
@@ -95,13 +98,20 @@ first_byte(const TreeKernel *t, int32_t w, int32_t dv)
     return w > 0 ? t->fb[w] : t->d[~w + dv];
 }
 
+/* The row of pair that holds the children of the root child on byte b. */
+static inline int32_t *
+row_of(const TreeKernel *t, unsigned char b)
+{
+    return &t->pair[t->rank[b] * t->stride];
+}
+
 static int32_t
 child(const TreeKernel *t, int32_t v, unsigned char b)
 {
     if (v == 0)
         return t->root[b];
     if (t->pair != NULL && t->depth[v] == 1)
-        return t->pair[t->rank[t->fb[v]] * t->stride + t->rank[b]];
+        return row_of(t, t->fb[v])[t->rank[b]];
     int32_t w = t->fc[v], dv = t->depth[v];
     while (w != 0 && first_byte(t, w, dv) < b)
         w = t->ns[w];
@@ -132,16 +142,32 @@ new_internal(TreeKernel *t, int32_t label, int32_t depth, unsigned char first)
     return v;
 }
 
+/* The cell that holds, or would hold, the child on byte b of node v, of
+ * path depth dv, during Ukkonen's pass: its root slot, its cell in v's row
+ * when dv is 1, or else the link in v's sorted chain (fc[v], then ns[w])
+ * that points at the first child whose byte is not below b. */
+static inline int32_t *
+slot_of(TreeKernel *t, int32_t v, int32_t dv, unsigned char b)
+{
+    if (v == 0)
+        return &t->root[b];
+    if (dv == 1)
+        return &row_of(t, t->fb[v])[t->rank[b]];
+    int32_t *slot = &t->fc[v];
+    while (*slot != 0 && t->fb[*slot] < b)
+        slot = &t->ns[*slot];
+    return slot;
+}
+
 /* Ukkonen's pass over the whole text; returns the suffixes left pending.
- * The children of a node of path depth 1 live in its row of pair during
- * the pass: row rank[b] for the node on byte b, column rank[c] for the child
- * on byte c. The rows are also linked into sorted chains before it returns. */
+ * Every child is found, hung and replaced through its slot_of cell; those
+ * of a node of path depth 1 live in its row of pair until the rows are
+ * linked into sorted chains before it returns. t is restrict: no node array
+ * overlaps *t, so a store into fb need not make the pass reload t's fields. */
 static Py_ssize_t
-ukkonen(TreeKernel *t)
+ukkonen(TreeKernel *restrict t)
 {
     const unsigned char *d = t->d;
-    const uint8_t *rank = t->rank;
-    int32_t *pair = t->pair, stride = t->stride;
     int32_t *lp = t->lp, *depth = t->depth, *sl = t->sl, *fc = t->fc, *ns = t->ns;
     uint8_t *fb = t->fb;
     int32_t n = (int32_t)t->n;
@@ -158,38 +184,16 @@ ukkonen(TreeKernel *t)
             if (active_len == 0)
                 active_edge = pos;
             unsigned char first = d[active_edge];
-            /* find the child on `first`: in its table slot, or in the chain
-             * with the sibling before its slot */
-            int32_t *slot = NULL, prev = 0, nxt;
-            if (active_node == 0)
-                slot = &t->root[first];
-            else if (active_depth == 1)
-                slot = &pair[rank[fb[active_node]] * stride + rank[first]];
-            if (slot != NULL) {
-                nxt = *slot;
-            }
-            else {
-                nxt = fc[active_node];
-                while (nxt != 0 && fb[nxt] < first) {
-                    prev = nxt;
-                    nxt = ns[nxt];
-                }
-                if (nxt != 0 && fb[nxt] != first)
-                    nxt = 0;
-            }
+            int32_t *slot = slot_of(t, active_node, active_depth, first);
+            int32_t nxt = *slot;
+            /* only a chain slot may hold a child on a later byte */
+            if (active_depth > 1 && nxt != 0 && fb[nxt] != first)
+                nxt = 0;
             if (nxt == 0) {
                 /* new leaf edge hanging off an existing node */
                 int32_t leaf = new_leaf(t, first);
-                if (slot != NULL)
-                    *slot = leaf;
-                else if (prev == 0) {
-                    ns[leaf] = fc[active_node];
-                    fc[active_node] = leaf;
-                }
-                else {
-                    ns[leaf] = ns[prev];
-                    ns[prev] = leaf;
-                }
+                ns[leaf] = *slot;
+                *slot = leaf;
                 if (last_internal != 0) {
                     sl[last_internal] = active_node;
                     last_internal = 0;
@@ -216,24 +220,18 @@ ukkonen(TreeKernel *t)
                     active_len++;
                     break;
                 }
-                /* split the edge; the split node takes nxt's sibling slot,
-                 * and its label is a prefix of nxt's, so it occurs there too */
+                /* split the edge; the split node takes nxt's slot, and its
+                 * label is a prefix of nxt's, so it occurs there too */
                 int32_t split = new_internal(t, label, active_depth + active_len, first);
                 ns[split] = ns[nxt];
-                if (slot != NULL)
-                    *slot = split;
-                else if (prev == 0)
-                    fc[active_node] = split;
-                else
-                    ns[prev] = split;
+                *slot = split;
                 unsigned char nb = d[start + active_len];
                 fb[nxt] = nb;
                 int32_t leaf = new_leaf(t, c_pos);
                 if (active_node == 0 && active_len == 1) {
                     /* the split node has path depth 1: its children go in its row */
-                    int32_t *row = &pair[rank[first] * stride];
-                    row[rank[nb]] = nxt;
-                    row[rank[c_pos]] = leaf;
+                    *slot_of(t, split, 1, nb) = nxt;
+                    *slot_of(t, split, 1, c_pos) = leaf;
                 }
                 else if (nb < c_pos) {
                     fc[split] = nxt;
@@ -264,9 +262,9 @@ ukkonen(TreeKernel *t)
         int32_t v = t->root[b];
         if (v <= 0 || depth[v] != 1)
             continue;
-        const int32_t *row = &pair[rank[b] * stride];
+        const int32_t *row = row_of(t, b);
         int32_t chain = 0;
-        for (int32_t k = stride - 2; k >= 0; k--) {
+        for (int32_t k = t->stride - 2; k >= 0; k--) {
             if (row[k] != 0) {
                 ns[row[k]] = chain;
                 chain = row[k];
@@ -451,11 +449,13 @@ TreeKernel_build(TreeKernel *t, PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
+static void raise_library_error(const char *name, const char *message);
+
 static PyObject *
 TreeKernel_finalize(TreeKernel *t, PyObject *Py_UNUSED(ignored))
 {
     if (t->finalized) {
-        PyErr_SetString(PyExc_RuntimeError, "kernel already finalized");
+        raise_library_error("AlreadyFinalized", "index is already finalized");
         return NULL;
     }
     /* no query reads a suffix link or a leaf's fb: drop them before the
@@ -704,11 +704,11 @@ node_arg(const TreeKernel *t, PyObject *arg, int32_t *ref)
     return 0;
 }
 
-/* As node_arg, for the answers finalize() fills in. */
+/* As node_arg, after the NotFinalized check, for what finalize() fills in. */
 static int
 finalized_node_arg(const TreeKernel *t, PyObject *arg, int32_t *ref)
 {
-    if (node_arg(t, arg, ref) < 0 || require_finalized(t) < 0)
+    if (require_finalized(t) < 0 || node_arg(t, arg, ref) < 0)
         return -1;
     return 0;
 }

@@ -214,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="find a pattern in a text")
     p.add_argument("--algo", required=True, choices=ALL_ALGORITHMS)
     _add_text_source(p)
-    p.add_argument("--pattern", help="pattern as a UTF-8 string")
-    p.add_argument("--pattern-file", metavar="FILE", help="pattern as raw bytes from FILE")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--pattern", help="pattern as a UTF-8 string")
+    group.add_argument("--pattern-file", metavar="FILE", help="pattern as raw bytes from FILE")
     p.add_argument("--count-only", action="store_true", help="print only the occurrence count")
     p.set_defaults(func=cmd_search)
 
@@ -260,9 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "search" and (args.pattern is None) == (args.pattern_file is None):
-        print("error: exactly one of --pattern / --pattern-file is required", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return args.func(args)
     except (UsageError, InvalidConfig, InvalidWeights, BadRange, ValueError) as exc:

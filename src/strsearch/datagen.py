@@ -20,6 +20,7 @@ Bounded integers use unbiased rejection on the 64-bit output.
 
 from __future__ import annotations
 
+import bisect
 import io
 from dataclasses import dataclass
 
@@ -112,13 +113,8 @@ def generate_text(spec: GenSpec) -> Text:
     rng = SplitMix64(spec.seed)
     out = bytearray(spec.length)
     for i in range(spec.length):
-        u = rng.unit()
-        idx = last
-        for j, edge in enumerate(cum):
-            if u < edge:
-                idx = j
-                break
-        out[i] = symbols[idx]
+        # the first index with u < cumulative, or the last if rounding leaves u above all
+        out[i] = symbols[min(bisect.bisect_right(cum, rng.unit()), last)]
     return Text(bytes(out))
 
 

@@ -45,7 +45,7 @@ except ImportError as exc:
     ) from exc
 
 from .core import Counters, Pattern, Text, as_pattern, index_text
-from .errors import AlreadyFinalized, NotFinalized
+from .errors import NotFinalized
 from .suffix_trie import IndexStats
 
 
@@ -74,20 +74,15 @@ class SuffixTreeIndex:
         return self._k.finalized
 
     def finalize(self) -> "SuffixTreeIndex":
-        if self._k.finalized:
-            raise AlreadyFinalized("index is already finalized")
         self._k.finalize()
         return self
-
-    def _require_finalized(self) -> None:
-        if not self._k.finalized:
-            raise NotFinalized("finalize() the index before querying")
 
     def _as_bytes(self, pattern: Pattern | str) -> bytes:
         # the kernel takes exact bytes and checks them itself (NotFinalized,
         # then ValueError if empty, then SentinelCollision); other inputs are
         # converted here, after the same finalize check, so the order holds
-        self._require_finalized()
+        if not self._k.finalized:
+            raise NotFinalized("finalize() the index before querying")
         return as_pattern(pattern).data
 
     # -- queries ------------------------------------------------------------
@@ -121,13 +116,11 @@ class SuffixTreeIndex:
 
     @property
     def leaf_count_total(self) -> int:
-        self._require_finalized()
-        return self._k.n_leaves
+        return self._k.leaf_count_of(0)
 
     @property
     def internal_count(self) -> int:
-        self._require_finalized()
-        return self._k.n_nodes - self._k.n_leaves - 1
+        return self._k.n_nodes - self.leaf_count_total - 1
 
     @property
     def build_steps(self) -> int:
@@ -137,7 +130,6 @@ class SuffixTreeIndex:
         """Shape of the finalized tree; ``logical_bytes`` is what the C
         kernel's node arrays hold for it, the root, the finalize arrays and
         the depth-1 child table included, from the kernel's own sizes."""
-        self._require_finalized()
         internal = self.internal_count
         leaves = self.leaf_count_total
         return IndexStats(
@@ -151,7 +143,8 @@ class SuffixTreeIndex:
 
     # -- introspection (used by invariant checks and tooling) ----------------
 
-    # the kernel raises IndexError for an id outside [0, node_count)
+    # the kernel raises IndexError for an id outside [0, node_count), and
+    # NotFinalized first for the answers finalize() fills in
 
     def is_leaf(self, node: int) -> bool:
         return self._k.is_leaf(node)
@@ -177,15 +170,12 @@ class SuffixTreeIndex:
         return self._k.suffix_link_of(node)
 
     def suffix_index_of(self, node: int) -> int:
-        self._require_finalized()
         return self._k.suffix_index_of(node)
 
     def leaf_count_of(self, node: int) -> int:
-        self._require_finalized()
         return self._k.leaf_count_of(node)
 
     def path_depth_of(self, node: int) -> int:
-        self._require_finalized()
         return self._k.path_depth_of(node)
 
     def edge_labels(self) -> list[bytes]:

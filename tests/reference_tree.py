@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import gc
 
-from strsearch.errors import NotFinalized, SentinelCollision
+from strsearch.errors import AlreadyFinalized, NotFinalized, SentinelCollision
 
 NAME = "py"
 
@@ -191,7 +191,7 @@ class TreeKernel:
     def finalize(self) -> None:
         """Fill path depths and leaf counts; leaf edges end at the text's end."""
         if self.finalized:
-            raise RuntimeError("kernel already finalized")
+            raise AlreadyFinalized("index is already finalized")
         self.finalized = True
         n_total = self.n_total
         es = self.edge_start
@@ -343,16 +343,16 @@ class TreeKernel:
         return self.slink[ref] if ref >= 0 else 0
 
     def suffix_index_of(self, v: int) -> int:
-        ref = self._node(v)
         self._require_finalized()
+        ref = self._node(v)
         return self.n_total - self.leaf_depth[~ref] if ref < 0 else -1
 
     def leaf_count_of(self, v: int) -> int:
-        ref = self._node(v)
         self._require_finalized()
+        ref = self._node(v)
         return self.leaf_count[ref] if ref >= 0 else 1
 
     def path_depth_of(self, v: int) -> int:
-        ref = self._node(v)
         self._require_finalized()
+        ref = self._node(v)
         return self.path_depth[ref] if ref >= 0 else self.leaf_depth[~ref]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -13,6 +14,7 @@ from strsearch import (
     read_text_file,
     sample_patterns,
 )
+from strsearch.datagen import ASCII_PRINTABLE
 from strsearch.errors import BadRange, IllegalBase, InvalidWeights, MalformedFasta
 
 from helpers import scan_oracle
@@ -62,6 +64,22 @@ def test_generate_deterministic():
 def test_generate_single_symbol():
     spec = GenSpec(alphabet=AlphabetSpec(b"A", (1.0,)), length=5, seed=0)
     assert generate_text(spec).data == b"AAAAA"
+
+
+# SHA-256 of generate_text output, pinned so a change to the draw that moves
+# any byte of any seed's text fails here; the zero weight sits mid-alphabet
+GENERATED_SHA256 = [
+    (DNA_UNIFORM, 7, "82ccc1f2b094047332d71c6432fff987d19afc960807d85b31f24a363e633cb3"),
+    (ASCII_PRINTABLE, 11, "9bd66f45013edd62849678ea431822dd2cdfe3b8fb69f33afebab8ca78ea7fbe"),
+    (AlphabetSpec(b"ACGT", (0.4, 0.0, 0.35, 0.25)), 3,
+     "e13a286b5ac1bf23ec1a9e99dc1a00fdae35a9d8f0d9db3f025047b6981f1236"),
+]
+
+
+@pytest.mark.parametrize("alphabet, seed, digest", GENERATED_SHA256)
+def test_generate_pinned_bytes(alphabet, seed, digest):
+    data = generate_text(GenSpec(alphabet=alphabet, length=10_000, seed=seed)).data
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_generate_frequencies_converge():

@@ -66,6 +66,32 @@ def test_finalize_twice_rejected(tree_kernel):
         index.finalize()
 
 
+def test_kernel_rejects_second_finalize(tree_kernel):
+    k = tree_kernel.TreeKernel(b"banana\x00")
+    k.build()
+    k.finalize()
+    with pytest.raises(AlreadyFinalized):
+        k.finalize()
+
+
+def test_unfinalized_index_error_order(tree_kernel):
+    # what finalize() fills in raises NotFinalized before the node id is
+    # checked; the structure the build made checks the id
+    index = build_suffix_tree(b"banana", finalize=False)
+    for bad in (-1, index.node_count):
+        for method in (index.suffix_index_of, index.leaf_count_of, index.path_depth_of):
+            with pytest.raises(NotFinalized):
+                method(bad)
+        for method in (index.is_leaf, index.children_of, index.edge_span, index.suffix_link_of):
+            with pytest.raises(IndexError):
+                method(bad)
+    for name in ("leaf_count_total", "internal_count"):
+        with pytest.raises(NotFinalized):
+            getattr(index, name)
+    with pytest.raises(NotFinalized):
+        index.stats()
+
+
 def test_root_leaf_count_banana(tree_kernel):
     index = tree_for(b"banana")
     assert index.leaf_count_of(0) == 7
