@@ -1,7 +1,7 @@
 """Exact string matching over bytes.
 
 The centerpiece is a suffix tree index built online in linear time, whose
-per-node leaf counts and suffix coordinates make occurrence counting a
+per-node path depths and suffix-array intervals make occurrence counting a
 single descent and enumeration proportional to the output. Alongside it:
 an uncompressed suffix trie for structural comparison, the four classical
 single-pattern matchers (naive, KMP, Rabin-Karp, Boyer-Moore), seeded

@@ -24,32 +24,33 @@
  * frontier (n once finalized), its suffix link is the root, its path depth
  * is n - j and its leaf count 1. Sibling chains are sorted by first byte.
  * Queries read a leaf's first byte from the text, at its suffix plus its
- * parent's depth, so finalize() drops the leaf half of fb. The root keeps
- * a 256-entry child table instead of a chain, since on printable text it
- * has about a hundred children. So do the nodes of path depth 1, all of
- * them root children: build() ranks the sigma byte values that occur and
- * gives them a table (pair) of sigma rows, one per first byte, of
- * sigma + 1 columns, the last one all zero; an absent byte ranks sigma, so
- * a lookup there needs no branch; row_of(b) is the row of the root child on
- * byte b. On printable text nearly all sibling hops would otherwise be at
- * those nodes. In the pass, slot_of gives the cell that holds a child: in
- * the root's table, its parent's row, or its parent's chain. The pass also
- * links each row into a sorted chain at its end, so every node has a
- * chain. The table stays for queries only while it holds at most as many
- * cells as there are internal nodes, so never more bytes than the suffix
- * links finalize() frees; build() drops it otherwise, and such a text's
- * queries walk the chains (uniform printable text below about 4e4 bytes).
- * build() also gives back the room reserved for internal nodes it did not
- * make.
+ * parent's depth, so finalize() drops the leaf half of fb. The root also
+ * keeps a 256-entry child table, since on printable text it has about a
+ * hundred children. So do the nodes of path depth 1, all of them root
+ * children: build() ranks the sigma byte values that occur and gives them
+ * a table (pair) of sigma rows, one per first byte, of sigma + 1 columns,
+ * the last one all zero; an absent byte ranks sigma, so a lookup there
+ * needs no branch; row_of(b) is the row of the root child on byte b. On
+ * printable text nearly all sibling hops would otherwise be at those
+ * nodes. In the pass, slot_of gives the cell that holds a child: in the
+ * root's table, its parent's row, or its parent's chain. At its end the
+ * pass links the root's table and each row into a sorted chain
+ * (link_cells), so every node, the root included, has a chain, and the
+ * tables only speed up lookups. The depth-1 table stays for queries only
+ * while it holds at most as many cells as there are internal nodes, so
+ * never more bytes than the suffix links finalize() frees; build() drops it
+ * otherwise, and such a text's queries walk the chains (uniform printable
+ * text below about 4e4 bytes). build() also gives back the room reserved
+ * for internal nodes it did not make.
  *
  * finalize() first frees the suffix links, which no query reads; a suffix
  * link is then found again by a walk from the root. It is one iterative
- * depth-first pass in byte order over the internal nodes; of a leaf it
- * reads only the sibling link. It fills the suffix array (leaves: the
- * leaves' suffix starts in lexicographic order) and a leaf interval
- * [lo, hi) per internal node: the leaves below v are leaves[lo[v]:hi[v]].
- * A leaf count is then hi - lo, and enumeration is a sorted copy of one
- * slice.
+ * depth-first pass in byte order over the internal nodes, from the root;
+ * of a leaf it reads only the sibling link. It fills the suffix array
+ * (leaves: the leaves' suffix starts in lexicographic order) and a leaf
+ * interval [lo, hi) per internal node: the leaves below v are
+ * leaves[lo[v]:hi[v]]. A leaf count is then hi - lo, and enumeration is a
+ * sorted copy of one slice.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -159,11 +160,25 @@ slot_of(TreeKernel *t, int32_t v, int32_t dv, unsigned char b)
     return slot;
 }
 
+/* Links the non-zero cells[0..k), in order, into a chain from *head. */
+static void
+link_cells(int32_t *ns, const int32_t *cells, int32_t k, int32_t *head)
+{
+    for (int32_t i = 0; i < k; i++) {
+        if (cells[i] != 0) {
+            *head = cells[i];
+            head = &ns[cells[i]];
+        }
+    }
+    *head = 0;
+}
+
 /* Ukkonen's pass over the whole text; returns the suffixes left pending.
  * Every child is found, hung and replaced through its slot_of cell; those
- * of a node of path depth 1 live in its row of pair until the rows are
- * linked into sorted chains before it returns. t is restrict: no node array
- * overlaps *t, so a store into fb need not make the pass reload t's fields. */
+ * of the root live in its table and those of a node of path depth 1 in its
+ * row of pair until they are linked into sorted chains before it returns.
+ * t is restrict: no node array overlaps *t, so a store into fb need not
+ * make the pass reload t's fields. */
 static Py_ssize_t
 ukkonen(TreeKernel *restrict t)
 {
@@ -257,42 +272,29 @@ ukkonen(TreeKernel *restrict t)
             }
         }
     }
-    /* link each depth-1 node's children from its row, in byte order */
+    /* chain the root's children, then each depth-1 node's, in byte order */
+    link_cells(ns, t->root, 256, &fc[0]);
     for (int b = 0; b < 256; b++) {
         int32_t v = t->root[b];
-        if (v <= 0 || depth[v] != 1)
-            continue;
-        const int32_t *row = row_of(t, b);
-        int32_t chain = 0;
-        for (int32_t k = t->stride - 2; k >= 0; k--) {
-            if (row[k] != 0) {
-                ns[row[k]] = chain;
-                chain = row[k];
-            }
-        }
-        fc[v] = chain;
+        if (v > 0 && depth[v] == 1)
+            link_cells(ns, row_of(t, b), t->stride - 1, &fc[v]);
     }
     t->build_steps = steps;
     return remainder;
 }
 
-/* Depth-first pass over the subtree of root child c, children in byte
- * order, appending its leaves to the suffix array from *counter on. hi[v]
- * holds v's parent while v is open and its interval end once closed, so
- * the pass needs no stack. */
-static void
-number_subtree(TreeKernel *t, int32_t c, int32_t *counter)
+/* Depth-first pass over the whole tree from the root, children in byte
+ * order, filling the suffix array and every internal node's leaf interval;
+ * returns the number of leaves. hi[v] holds v's parent while v is open (-1
+ * for the root) and its interval end once closed, so the pass needs no
+ * stack. */
+static int32_t
+number_leaves(TreeKernel *t)
 {
     const int32_t *fc = t->fc, *ns = t->ns;
     int32_t *lo = t->lo, *hi = t->hi, *leaves = t->leaves;
-    int32_t k = *counter;
-    if (c < 0) {
-        leaves[k++] = ~c;
-        *counter = k;
-        return;
-    }
-    int32_t v = c, w;
-    hi[c] = 0;
+    int32_t k = 0, v = 0, w;
+    hi[0] = -1;
     for (;;) {
         /* open v */
         lo[v] = k;
@@ -308,10 +310,8 @@ number_subtree(TreeKernel *t, int32_t c, int32_t *counter)
             /* v has no children left: close it, go on with its sibling */
             int32_t p = hi[v];
             hi[v] = k;
-            if (p == 0) {
-                *counter = k;
-                return;
-            }
+            if (p < 0)
+                return k;
             w = ns[v];
             v = p;
         }
@@ -476,16 +476,9 @@ TreeKernel_finalize(TreeKernel *t, PyObject *Py_UNUSED(ignored))
         t->lo = t->hi = t->leaves = NULL;
         return PyErr_NoMemory();
     }
-    int32_t counter = 0;
-    t->lo[0] = 0;
-    for (int b = 0; b < 256; b++) {
-        if (t->root[b] != 0)
-            number_subtree(t, t->root[b], &counter);
-    }
-    t->hi[0] = counter;
-    t->n_leaves = counter;
+    t->n_leaves = number_leaves(t);
     /* the leaf of suffix 0 is the deepest node */
-    t->max_depth = counter > 0 ? t->n : 0;
+    t->max_depth = t->n_leaves > 0 ? t->n : 0;
     t->finalized = 1;
     Py_RETURN_NONE;
 }
@@ -722,15 +715,6 @@ TreeKernel_is_leaf(TreeKernel *t, PyObject *arg)
     return PyBool_FromLong(r < 0);
 }
 
-static int
-append_child(PyObject *out, const TreeKernel *t, int b, int32_t w)
-{
-    PyObject *pair = Py_BuildValue("(in)", b, public_id(t, w));
-    int rc = pair == NULL ? -1 : PyList_Append(out, pair);
-    Py_XDECREF(pair);
-    return rc;
-}
-
 static PyObject *
 TreeKernel_children_of(TreeKernel *t, PyObject *arg)
 {
@@ -738,19 +722,12 @@ TreeKernel_children_of(TreeKernel *t, PyObject *arg)
     if (node_arg(t, arg, &r) < 0)
         return NULL;
     PyObject *out = PyList_New(0);
-    int rc = out == NULL ? -1 : 0;
-    if (r == 0) {
-        for (int b = 0; rc == 0 && b < 256; b++) {
-            if (t->root[b] != 0)
-                rc = append_child(out, t, b, t->root[b]);
-        }
+    for (int32_t w = r >= 0 ? t->fc[r] : 0; out != NULL && w != 0; w = t->ns[w]) {
+        PyObject *pair = Py_BuildValue("(in)", first_byte(t, w, t->depth[r]), public_id(t, w));
+        if (pair == NULL || PyList_Append(out, pair) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(pair);
     }
-    else if (r > 0) {
-        for (int32_t w = t->fc[r]; rc == 0 && w != 0; w = t->ns[w])
-            rc = append_child(out, t, first_byte(t, w, t->depth[r]), w);
-    }
-    if (rc < 0)
-        Py_CLEAR(out);
     return out;
 }
 
@@ -820,7 +797,7 @@ static PyMethodDef TreeKernel_methods[] = {
     {"build", (PyCFunction)(void (*)(void))TreeKernel_build, METH_VARARGS | METH_KEYWORDS,
      "build(allow_implicit=False): one Ukkonen pass over the text."},
     {"finalize", (PyCFunction)TreeKernel_finalize, METH_NOARGS,
-     "Freeze leaf ends; fill the suffix array and leaf intervals."},
+     "Fill the suffix array and leaf intervals; free the suffix links."},
     {"descend", (PyCFunction)TreeKernel_descend, METH_O,
      "descend(pat) -> (node, offset_within_edge, comparisons); node is -1 on a mismatch."},
     {"count", (PyCFunction)TreeKernel_count, METH_O, "Occurrences of pat in the text."},

@@ -24,7 +24,7 @@ from .core import Pattern, Text, verify_occurrences
 from .datagen import ASCII_PRINTABLE, DNA_UNIFORM, GenSpec, SplitMix64, generate_text, sample_patterns
 from .errors import BadRange, InvalidConfig, IoFailure, ResultMismatch
 from .suffix_tree import build_suffix_tree
-from .suffix_trie import TRIE_NODE_BYTES, SuffixTrieIndex, build_suffix_trie, check_body_cap
+from .suffix_trie import build_suffix_trie, check_body_cap
 
 # the single-pattern matchers, each called as (text, pattern)
 MATCHERS = {
@@ -120,12 +120,7 @@ def _run_index(build, text: Text, pattern: Pattern, queries: int):
     for _ in range(queries):
         result = index.find_all(pattern)
     query_ns = time.perf_counter_ns() - t0
-    # the trie's stats() walks every node; its bytes are a per-node constant
-    if isinstance(index, SuffixTrieIndex):
-        logical = index.node_count * TRIE_NODE_BYTES
-    else:
-        logical = index.stats().logical_bytes
-    return result, build_ns, query_ns, index.node_count, logical
+    return result, build_ns, query_ns, index.node_count, index.stats().logical_bytes
 
 
 _RUNNERS = {

@@ -3,14 +3,14 @@
 The tree is built in a single left-to-right pass (Ukkonen's online method):
 each new text position advances a shared open edge end, and pending suffixes
 are inserted by walking the active point and following suffix links, so total
-construction work is linear in the text length. Edge labels are (start, end)
-coordinates into the shared text, never copied substrings.
+construction work is linear in the text length. No edge label is stored:
+the edge into a node runs, in the shared text, from the node's label
+position plus its parent's path depth to that position plus its own.
 
 A build is a two-step affair: construction over the sentinel-terminated text,
-then finalize(), a single depth-first pass in byte order that freezes the
-open leaf ends, lists the leaves' suffix starts in lexicographic order (the
-suffix array), and gives every internal node the interval of that list its
-subtree covers. Queries are only legal on a finalized index: counting an
+then finalize(), a single depth-first pass in byte order that lists the
+leaves' suffix starts in lexicographic order (the suffix array) and gives
+every internal node the interval of that list its subtree covers. Queries are only legal on a finalized index: counting an
 occurrence total is then a descent plus one interval length, and
 enumeration a sorted copy of the interval. finalize() also frees the suffix
 links, which no query reads; suffix_link_of() then finds a link by a walk

@@ -66,12 +66,6 @@ class SuffixTrieIndex:
         self.leaf_suffix = leaf_suffix
         self.node_count = node_count
 
-    def _kids(self, v: int) -> list[int]:
-        heads = self.branches.get(v, [])
-        if v == 0 or v in self.leaf_suffix:
-            return heads
-        return [v + 1, *heads]
-
     def find_all(self, pattern: Pattern | bytes | str) -> list[int]:
         """Descend one byte per pattern character, then gather the subtree."""
         pat = as_pattern(pattern)
@@ -102,23 +96,14 @@ class SuffixTrieIndex:
         return out
 
     def stats(self) -> IndexStats:
-        leaves = 0
-        max_depth = 0
-        stack = [(0, 0)]
-        while stack:
-            v, d = stack.pop()
-            if d > max_depth:
-                max_depth = d
-            kids = self._kids(v)
-            if kids:
-                stack.extend((w, d + 1) for w in kids)
-            else:
-                leaves += 1
+        # one leaf per suffix, since the NUL is unique; the deepest node is
+        # the leaf of suffix 0
+        leaves = len(self.leaf_suffix)
         return IndexStats(
             node_count=self.node_count,
             internal_count=self.node_count - leaves - 1,
             leaf_count=leaves,
-            max_depth=max_depth,
+            max_depth=len(self.text.data),
             logical_bytes=self.node_count * TRIE_NODE_BYTES,
         )
 

@@ -8,7 +8,7 @@ from strsearch.bench import CSV_HEADER, read_csv
 from strsearch.core import Pattern
 from strsearch.datagen import DNA_UNIFORM, GenSpec, generate_text
 from strsearch.errors import InvalidConfig, ResultMismatch, TrieCapExceeded
-from strsearch.suffix_trie import BODY_CAP
+from strsearch.suffix_trie import BODY_CAP, TRIE_NODE_BYTES
 
 
 def small_config(**kw):
@@ -48,6 +48,14 @@ def test_matrix_one_size_all_algorithms():
             assert r.nodes > 0 and r.logical_bytes > 0
         else:
             assert r.nodes == 0 and r.logical_bytes == 0
+
+
+def test_matrix_trie_bytes_are_nodes_times_node_bytes():
+    records = run_benchmark_matrix(small_config(sizes=(150, 300), trials=2, algorithms=("naive", "strie")))
+    tries = [r for r in records if r.algorithm == "strie"]
+    assert len(tries) == 4
+    for r in tries:
+        assert r.logical_bytes == r.nodes * TRIE_NODE_BYTES
 
 
 def test_matrix_data_columns_deterministic():

@@ -184,3 +184,28 @@ def test_kernels_reject_non_bytes_text():
         want = outcome(reference_tree.TreeKernel, arg)
         assert want == ("raised", TypeError)
         assert outcome(_tree.TreeKernel, arg) == want
+
+
+@pytest.mark.parametrize("data", [b"", b"\x00", b"abc\x00", b"ab"])
+def test_kernels_agree_when_finalized_before_build(data):
+    patterns = [*FIXED_PATTERNS, b"a", b"b", b"abc"]
+
+    def script(kmod):
+        log = Log()
+        k = kmod.TreeKernel(data)
+        log.call("finalize", k.finalize)
+        log.call("attributes", lambda: (
+            k.n_nodes, k.n_leaves, k.max_depth, k.build_steps, k.built, k.finalized,
+        ))
+        for v in node_ids(k.n_nodes):
+            for name in INTROSPECTION:
+                log.call(f"{name}({v})", getattr(k, name), v)
+        for p in patterns:
+            for name in ("descend", "count", "collect"):
+                log.call(f"{name}({p!r})", getattr(k, name), p)
+        log.call("build after finalize", k.build)
+        return log
+
+    want = script(reference_tree)
+    assert want[-1][1][0] == "raised"
+    assert script(_tree) == want
